@@ -15,14 +15,13 @@ import numpy as np
 
 from benchmarks.conftest import emit, format_table
 from repro.core import (
-    BatchIndexSpec,
     JoinSpec,
     brute_force_join,
     lsh_join,
-    parallel_lsh_join,
     sketch_unsigned_join,
 )
 from repro.datasets import adversarial_maxip, planted_mips
+from repro.engine import BatchIndexSpec
 from repro.engine import join as engine_join
 from repro.lsh import DataDepALSH
 from repro.obs import (
@@ -74,10 +73,10 @@ def test_join_crossover_table(benchmark):
             timings["lsh"] = time.perf_counter() - start
 
             # Same scheme through the CSR batch index + blocked verify
-            # (the executor's serial path; n_workers=1 is exact).
+            # (the engine's serial path; n_workers=1 is exact).
             start = time.perf_counter()
-            batch = parallel_lsh_join(
-                inst.P, inst.Q, spec,
+            batch = engine_join(
+                inst.P, inst.Q, spec, backend="lsh",
                 index_spec=BatchIndexSpec(
                     d=d, scheme="datadep", n_tables=12, bits_per_table=7, seed=1,
                 ),
@@ -216,7 +215,7 @@ def test_batch_lsh_join_n1024(benchmark):
         d=24, scheme="datadep", n_tables=8, bits_per_table=7, seed=1
     )
     benchmark.pedantic(
-        lambda: parallel_lsh_join(inst.P, inst.Q, spec,
-                                  index_spec=index_spec, n_workers=1),
+        lambda: engine_join(inst.P, inst.Q, spec, backend="lsh",
+                            index_spec=index_spec, n_workers=1),
         rounds=3, iterations=1,
     )

@@ -16,14 +16,10 @@ from repro.core.brute_force import (
     brute_force_search,
 )
 from repro.core.executor import (
-    BatchIndexSpec,
-    SketchStructureSpec,
     WorkerPool,
     close_pools,
     get_pool,
     map_query_chunks,
-    parallel_lsh_join,
-    parallel_sketch_join,
     resolve_workers,
 )
 from repro.core.join import signed_join, unsigned_join
@@ -56,14 +52,10 @@ __all__ = [
     "norm_pruned_join",
     "self_join",
     "lsh_self_join",
-    "BatchIndexSpec",
-    "SketchStructureSpec",
     "WorkerPool",
     "close_pools",
     "get_pool",
     "map_query_chunks",
-    "parallel_lsh_join",
-    "parallel_sketch_join",
     "resolve_workers",
     "BlockVerification",
     "verify_block",

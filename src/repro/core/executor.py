@@ -2,12 +2,13 @@
 
 Python's per-query overhead disappears into GEMMs with the blocked
 verification kernel, but one process still drives one core.  This module
-shards a filter-then-verify join over contiguous *query block* ranges
-and fans them out to a persistent worker pool.  Three execution paths,
-one dispatch helper (:func:`map_query_chunks`), identical results:
+shards a join over contiguous *query block* ranges and fans them out to
+a persistent worker pool.  Three execution modes, one dispatch loop
+(:func:`map_query_chunks`, the engine's only way to run a chunk kernel),
+identical results — for an in-memory ``Q`` and a streamed one alike:
 
 * **Serial** (``n_workers=1``): build the structure in-process, run one
-  chunk.  Never touches a pool; an explicit ``blas_threads=`` pin is
+  chunk (or each streamed chunk in turn).  Never touches a pool; an explicit ``blas_threads=`` pin is
   still honored for the duration of the run.
 * **Process pool** (``pool="process"``): the structure is built ONCE in
   the parent, then its large arrays — together with ``P`` and ``Q`` —
@@ -56,7 +57,6 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import time
 from collections import deque
 from concurrent.futures import (
     FIRST_EXCEPTION,
@@ -66,117 +66,21 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.arena import SharedArena, clone_shell, freeze, thaw
-from repro.core.problems import (
-    JoinResult,
-    JoinSpec,
-    QueryStats,
-    validate_join_inputs,
-)
 from repro.core.verify import DEFAULT_BLOCK
 from repro.errors import ParameterError
-from repro.lsh.batch import BatchSignIndex
 from repro.utils import blasctl
 from repro.utils.validation import check_matrix
-
-#: Schemes BatchIndexSpec can rebuild, mapping to BatchSignIndex constructors.
-SCHEMES = ("hyperplane", "datadep", "simple_lsh", "symmetric")
 
 #: Pool kinds map_query_chunks understands.
 POOL_KINDS = ("process", "thread")
 
 #: Environment variable capping ``n_workers="auto"``.
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
-
-
-@dataclass(frozen=True)
-class BatchIndexSpec:
-    """Picklable recipe for a :class:`~repro.lsh.batch.BatchSignIndex`.
-
-    Pure data — no callables, no arrays — so it crosses process
-    boundaries for pennies and two builds from the same spec (and data)
-    are identical.  ``seed`` must be a concrete integer: entropy-seeded
-    indexes cannot be reproduced in a worker.
-    """
-
-    d: int
-    scheme: str = "hyperplane"
-    n_tables: int = 16
-    bits_per_table: int = 12
-    seed: int = 0
-    layout: str = "csr"
-    query_radius: float = 1.0  # datadep only
-    eps: float = 0.05          # symmetric only
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ParameterError(
-                f"scheme must be one of {SCHEMES}, got {self.scheme!r}"
-            )
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError(
-                f"seed must be a concrete integer for reproducible worker "
-                f"rebuilds, got {type(self.seed).__name__}"
-            )
-
-    def build(self, P) -> BatchSignIndex:
-        """Construct and build the index over ``P``."""
-        common = dict(
-            n_tables=self.n_tables,
-            bits_per_table=self.bits_per_table,
-            seed=int(self.seed),
-            layout=self.layout,
-        )
-        if self.scheme == "hyperplane":
-            index = BatchSignIndex.for_hyperplane(self.d, **common)
-        elif self.scheme == "datadep":
-            index = BatchSignIndex.for_datadep(
-                self.d, query_radius=self.query_radius, **common
-            )
-        elif self.scheme == "simple_lsh":
-            index = BatchSignIndex.for_simple_lsh(self.d, **common)
-        else:
-            index = BatchSignIndex.for_symmetric(self.d, eps=self.eps, **common)
-        return index.build(P)
-
-
-@dataclass(frozen=True)
-class SketchStructureSpec:
-    """Picklable recipe for a :class:`~repro.sketches.cmips.SketchCMIPS`.
-
-    Pure data like :class:`BatchIndexSpec`: a concrete integer seed makes
-    every worker rebuild bit-identical sketches, so sharding the query
-    set cannot change which data vector a query's descent proposes.
-    """
-
-    kappa: float = 4.0
-    copies: int = 7
-    leaf_size: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError(
-                f"seed must be a concrete integer for reproducible worker "
-                f"rebuilds, got {type(self.seed).__name__}"
-            )
-
-    def build(self, P):
-        """Construct the c-MIPS structure over ``P``."""
-        from repro.sketches.cmips import SketchCMIPS
-
-        return SketchCMIPS(
-            P,
-            kappa=self.kappa,
-            copies=self.copies,
-            leaf_size=self.leaf_size,
-            seed=int(self.seed),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -395,64 +299,31 @@ def _process_worker_init(blas_threads: int) -> None:
         blasctl.set_blas_threads(blas_threads)
 
 
-def _run_frozen_chunk(blob: bytes, start: int, end: int, runner, args):
-    """Process-pool task: thaw the (structure, P, Q) shell, run one chunk.
+def _run_chunk(shared, start: int, end: int, Q_chunk, runner, args):
+    """Pool task: resolve the call's ``(structure, P, Q)``, run one chunk.
 
-    Thawing reconstructs shared-memory *views* for every large array —
-    the only bytes unpickled per task are the object shells — and gives
-    this task its own copies of small mutable state (stats), so tasks
-    sharing a worker never race.
+    Process pools pass ``shared`` frozen: thawing reconstructs
+    shared-memory *views* for every large array — the only bytes
+    unpickled per task are the object shells — and gives this task its
+    own copies of small mutable state (stats), so tasks sharing a worker
+    never race.  Thread pools pass the live objects and the structure is
+    shell-cloned: the clone shares every large array by reference but
+    owns the ``index.stats`` that concurrent chunks mutate for their
+    snapshot-diff accounting.
+
+    Array queries arrive as the ``[start, end)`` range of the shared
+    ``Q``; streamed queries arrive as ``Q_chunk`` itself (the one piece
+    of data that did not exist when the call started, so it crosses the
+    pipe and shared memory holds only the long-lived structure and ``P``).
     """
-    structure, P, Q = thaw(blob)
-    return runner(structure, P, Q[start:end], start, args)
-
-
-def _run_thread_chunk(structure, P, Q, start: int, end: int, runner, args):
-    """Thread-pool task: shell-clone the structure, run one chunk.
-
-    The clone shares every large array by reference (nothing copied) but
-    owns its small mutable attributes — concurrent chunks mutate
-    ``index.stats`` for their snapshot-diff accounting, which must not
-    race across threads.
-    """
-    local = clone_shell(structure)
-    return runner(local, P, Q[start:end], start, args)
-
-
-def _run_frozen_stream_chunk(blob: bytes, Q_chunk, start: int, runner, args):
-    """Process-pool task for streamed ``Q``: thaw (structure, P), run one chunk.
-
-    Unlike :func:`_run_frozen_chunk`, the query chunk itself crosses the
-    pipe (it is the one piece of data that did not exist when the call
-    started), so shared memory holds only the long-lived structure and
-    ``P`` — total shm stays bounded no matter how long the stream runs.
-    """
-    structure, P = thaw(blob)
+    if isinstance(shared, bytes):
+        structure, P, Q = thaw(shared)
+    else:
+        structure, P, Q = shared
+        structure = clone_shell(structure)
+    if Q_chunk is None:
+        Q_chunk = Q[start:end]
     return runner(structure, P, Q_chunk, start, args)
-
-
-def _run_thread_stream_chunk(structure, P, Q_chunk, start: int, runner, args):
-    """Thread-pool task for streamed ``Q``: shell-clone, run one chunk."""
-    local = clone_shell(structure)
-    return runner(local, P, Q_chunk, start, args)
-
-
-# Legacy pickle-per-worker path, kept for the bench baseline comparison
-# (tools/bench_perf.py measures zero-copy against exactly this) and for
-# any external caller that wired the old initializer directly.
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(payload, P) -> None:
-    structure = payload.build(P) if hasattr(payload, "build") else payload
-    _WORKER_STATE["structure"] = structure
-    _WORKER_STATE["P"] = P
-
-
-def _run_worker_chunk(runner, Q_chunk, start, args):
-    return runner(
-        _WORKER_STATE["structure"], _WORKER_STATE["P"], Q_chunk, start, args
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -738,13 +609,12 @@ def map_query_chunks(
     executor: Optional[WorkerPool] = None,
     blas_threads: Optional[int] = None,
 ) -> List[Any]:
-    """THE shared shard-and-run helper behind every parallel join path.
+    """THE shard-and-run helper: one dispatch for every pool kind and ``Q``.
 
     Args:
         payload: either a built structure or a recipe exposing
-            ``build(P) -> structure`` (:class:`BatchIndexSpec`,
-            :class:`SketchStructureSpec`, an engine structure with a
-            lazy ``build``).  Built ONCE in the parent; workers receive
+            ``build(P) -> structure`` (an engine structure with a lazy
+            ``build``).  Built ONCE in the parent; workers receive
             shared-memory views (process pools) or shell clones (thread
             pools) of the same built structure.
         P, Q: data and query matrices (already validated by the caller).
@@ -763,8 +633,8 @@ def map_query_chunks(
             ``n_workers=1`` and ``n_workers=k`` results identical.
         args: extra picklable arguments forwarded to ``runner``.
         n_workers: worker count or ``"auto"`` (cpu_count capped by
-            ``REPRO_MAX_WORKERS``); ``1`` runs one chunk in-process and
-            never touches a pool.
+            ``REPRO_MAX_WORKERS``); ``1`` runs in-process (one chunk for
+            an array ``Q``) and never touches a pool.
         block: chunk boundaries align to multiples of this (the
             verification block size), so worker-count changes never
             change per-block call sequences.
@@ -791,67 +661,78 @@ def map_query_chunks(
         raise ParameterError(
             f"pool must be one of {POOL_KINDS}, got {pool!r}"
         )
-    source: Optional[QuerySource] = None
+    source = Q if isinstance(Q, QuerySource) and Q.kind == "stream" else None
     if isinstance(Q, QuerySource):
-        if Q.kind == "array":
-            Q = Q.array
-        else:
-            source = Q
+        Q = Q.array
     structure = payload.build(P) if hasattr(payload, "build") else payload
-    if source is not None:
-        # Same precedence as the array path: serial never touches a
-        # pool; otherwise a caller-managed executor wins over the
-        # persistent registry pool.
-        wp = None
-        if workers > 1:
-            wp = executor if executor is not None else get_pool(
-                workers, kind=pool, blas_threads=blas_threads
-            )
-        return _map_stream_chunks(
-            structure, P, source, runner, args, wp, block, blas_threads
+    # Serial never touches a pool; otherwise a caller-managed executor
+    # wins over the persistent registry pool.
+    wp = None
+    if workers > 1:
+        wp = executor if executor is not None else get_pool(
+            workers, kind=pool, blas_threads=blas_threads
         )
-    if workers == 1:
-        if blas_threads is None:
-            return [runner(structure, P, Q, 0, args)]
-        # Serial path honors the pin too: callers asking for a fixed BLAS
-        # budget get it regardless of worker count.
-        with blasctl.blas_threads(
-            blasctl.worker_blas_threads(1, blas_threads)
-        ):
-            return [runner(structure, P, Q, 0, args)]
-    if executor is not None:
-        wp = executor
+    # Tasks are (start, end, chunk): streams carry their chunk, parallel
+    # array chunks slice the shared Q inside the task.
+    if source is not None:
+        tasks = _stream_tasks(source, block)
+    elif wp is None:
+        tasks = [(0, Q.shape[0], Q)]
     else:
-        wp = get_pool(workers, kind=pool, blas_threads=blas_threads)
-    bounds = _chunk_bounds(Q.shape[0], block, wp.n_workers)
-
-    if wp.kind == "thread":
-        ex = wp._ensure_executor()
-        futures = [
-            ex.submit(_run_thread_chunk, structure, P, Q, start, end, runner, args)
-            for start, end in bounds
+        tasks = [
+            (start, end, None)
+            for start, end in _chunk_bounds(Q.shape[0], block, wp.n_workers)
         ]
+
+    if wp is None:
+        # Serial path honors a ``blas_threads`` pin too: callers asking
+        # for a fixed BLAS budget get it regardless of worker count.
+        pin = (
+            blasctl.blas_threads(blasctl.worker_blas_threads(1, blas_threads))
+            if blas_threads is not None
+            else nullcontext()
+        )
+        with pin:
+            return [runner(structure, P, chunk, start, args)
+                    for start, _, chunk in tasks]
+
+    ex = wp._ensure_executor()
+    shared = (structure, P, Q)
+    scratch = None
+    if wp.kind == "thread":
         # Pin the process-global BLAS pool to the per-worker share for
         # the duration of the call: k threads x (cores/k) BLAS threads
         # instead of k x cores.
-        with blasctl.blas_threads(wp.blas_threads):
-            return _collect_ordered(futures)
-
-    # Process pool: freeze (structure, P, Q) into shared memory once per
-    # call — per-task payloads are (shell bytes, start, end), pennies.
-    # The per-call scratch arena is unlinked as soon as the call
-    # completes; arrays pre-placed via WorkerPool.share() live in the
-    # pool's persistent arena and are referenced, not re-copied.
-    ex = wp._ensure_executor()
-    lookup = (wp._arena,) if wp._arena is not None else ()
-    scratch = SharedArena()
+        pin = blasctl.blas_threads(wp.blas_threads)
+    else:
+        # Process pool: freeze (structure, P, Q) into shared memory once
+        # per call — per-task payloads are (shell bytes, bounds),
+        # pennies.  The per-call scratch arena is unlinked as soon as the
+        # call completes; arrays pre-placed via WorkerPool.share() live
+        # in the pool's persistent arena and are referenced, not
+        # re-copied.
+        pin = nullcontext()
+        scratch = SharedArena()
+    # A stream keeps at most 2 x n_workers chunks in flight, so memory
+    # stays at O(window x chunk) regardless of stream length; collecting
+    # oldest-first preserves stream order and applies backpressure to
+    # the producer.  Array chunks all go out at once.
+    window = 2 * wp.n_workers if source is not None else len(tasks)
+    results: List[Any] = []
+    futures: deque = deque()
     try:
-        blob = freeze((structure, P, Q), scratch, lookup=lookup)
-        futures = [
-            ex.submit(_run_frozen_chunk, blob, start, end, runner, args)
-            for start, end in bounds
-        ]
-        return _collect_ordered(futures)
+        with pin:
+            if scratch is not None:
+                lookup = (wp._arena,) if wp._arena is not None else ()
+                shared = freeze(shared, scratch, lookup=lookup)
+            for start, end, chunk in tasks:
+                if len(futures) >= window:
+                    results.append(futures.popleft().result())
+                futures.append(ex.submit(
+                    _run_chunk, shared, start, end, chunk, runner, args,
+                ))
+            results.extend(_collect_ordered(futures))
+        return results
     except BrokenProcessPool:
         # A worker died (OOM kill, segfault, hard exit).  Tear the pool
         # down without waiting on dead processes and unlink every
@@ -859,274 +740,16 @@ def map_query_chunks(
         wp._abandon()
         raise
     finally:
-        scratch.close()
+        for future in futures:
+            future.cancel()
+        if scratch is not None:
+            scratch.close()
 
 
-def _stream_rows(source: QuerySource, block: int) -> int:
-    """The re-blocked chunk size for a stream: a ``block`` multiple >= block."""
+def _stream_tasks(source: QuerySource, block: int) -> Iterator[tuple]:
+    """Re-block a stream to ``block``-multiple chunks with global offsets."""
     rows = source.chunk_rows if source.chunk_rows is not None else 8 * block
-    return max(block, (rows // block) * block)
-
-
-def _map_stream_chunks(
-    structure,
-    P,
-    source: QuerySource,
-    runner: Callable,
-    args: tuple,
-    wp: Optional[WorkerPool],
-    block: int,
-    blas_threads: Optional[int],
-) -> List[Any]:
-    """Run a stream-kind :class:`QuerySource` through the chunk runner.
-
-    Chunks are consumed as the producer yields them and dispatched with a
-    bounded in-flight window (``2 x n_workers``), so memory stays at
-    O(window x chunk) regardless of stream length; results are collected
-    oldest-first, which both preserves stream order and applies
-    backpressure to the producer.  Only the long-lived ``(structure, P)``
-    pair is frozen into shared memory — each query chunk crosses the
-    pipe once and is never retained, unlike the array path where the
-    whole ``Q`` is placed in the per-call scratch arena.
-    """
-    rows = _stream_rows(source, block)
-    results: List[Any] = []
-    if wp is None:
-        pin = (
-            blasctl.blas_threads(blasctl.worker_blas_threads(1, blas_threads))
-            if blas_threads is not None
-            else nullcontext()
-        )
-        offset = 0
-        with pin:
-            for chunk in source.blocks(rows):
-                results.append(runner(structure, P, chunk, offset, args))
-                offset += chunk.shape[0]
-        return results
-
-    window = 2 * wp.n_workers
-    futures: deque = deque()
-    if wp.kind == "thread":
-        ex = wp._ensure_executor()
-        try:
-            with blasctl.blas_threads(wp.blas_threads):
-                offset = 0
-                for chunk in source.blocks(rows):
-                    if len(futures) >= window:
-                        results.append(futures.popleft().result())
-                    futures.append(ex.submit(
-                        _run_thread_stream_chunk, structure, P, chunk,
-                        offset, runner, args,
-                    ))
-                    offset += chunk.shape[0]
-                while futures:
-                    results.append(futures.popleft().result())
-            return results
-        except Exception:
-            for future in futures:
-                future.cancel()
-            raise
-
-    ex = wp._ensure_executor()
-    lookup = (wp._arena,) if wp._arena is not None else ()
-    scratch = SharedArena()
-    try:
-        blob = freeze((structure, P), scratch, lookup=lookup)
-        offset = 0
-        for chunk in source.blocks(rows):
-            if len(futures) >= window:
-                results.append(futures.popleft().result())
-            futures.append(ex.submit(
-                _run_frozen_stream_chunk, blob, chunk, offset, runner, args,
-            ))
-            offset += chunk.shape[0]
-        while futures:
-            results.append(futures.popleft().result())
-        return results
-    except BrokenProcessPool:
-        wp._abandon()
-        raise
-    except Exception:
-        for future in futures:
-            future.cancel()
-        raise
-    finally:
-        for future in futures:
-            future.cancel()
-        scratch.close()
-
-
-def _lsh_runner(index, P, Q_chunk, start, args):
-    """Chunk runner for LSH filter-then-verify joins."""
-    from repro.core.lsh_join import lsh_filter_verify_chunk
-
-    signed, cs, n_probes, block = args
-    return lsh_filter_verify_chunk(index, P, Q_chunk, signed, cs, n_probes, block)
-
-
-def _sketch_runner(structure, P, Q_chunk, start, args):
-    """Chunk runner for the Section 4.3 sketch join."""
-    from repro.core.sketch_join import sketch_filter_verify_chunk
-
-    cs, block = args
-    return sketch_filter_verify_chunk(structure, P, Q_chunk, cs, block)
-
-
-def _engine_runner(structure, P, Q_chunk, start, args):
-    """Chunk runner for the unified engine: dispatch to a named backend.
-
-    ``args`` is ``(backend_name,)``, ``(backend_name, observe)`` or
-    ``(backend_name, observe, stage_label)``.  With ``observe`` set, the
-    chunk runs under a fresh tracer + metrics registry — in *every*
-    execution mode, so a serial join and each parallel worker produce
-    the same detached per-chunk span tree — and ships them back on the
-    :class:`~repro.engine.protocol.ChunkResult` (spans as plain
-    dataclasses, metrics as a snapshot dict; both pickle).  The parent
-    stitches chunk trees under its ``run`` span and merges metric
-    snapshots in chunk order, which keeps parallel totals bit-identical
-    to serial ones.  Thread-pool workers can do this concurrently
-    because the current tracer/registry are context variables, not
-    process globals.  ``stage_label`` (multi-stage plans) is stamped on
-    the ``run_chunk`` span so detached chunk trees stay attributable to
-    their stage; one-stage joins omit it and keep the pre-Plan-IR span
-    shape.
-    """
-    from repro.engine.registry import get_backend
-
-    backend_name = args[0]
-    observe = args[1] if len(args) > 1 else False
-    stage_label = args[2] if len(args) > 2 else ""
-    backend = get_backend(backend_name)
-    if not observe:
-        t0 = time.perf_counter_ns()
-        result = backend.run_chunk(structure, P, Q_chunk, start)
-        result.wall_ns = time.perf_counter_ns() - t0
-        return result
-
-    from repro.obs import MetricsRegistry, Tracer
-    from repro.obs import observe as activate_obs
-
-    attrs = dict(start=int(start), n_queries=int(Q_chunk.shape[0]))
-    if stage_label:
-        attrs["stage"] = stage_label
-    tracer = Tracer(enabled=True)
-    registry = MetricsRegistry(enabled=True)
-    with activate_obs(tracer, registry):
-        with tracer.span("run_chunk", **attrs):
-            t0 = time.perf_counter_ns()
-            result = backend.run_chunk(structure, P, Q_chunk, start)
-            result.wall_ns = time.perf_counter_ns() - t0
-    result.trace = tracer.take()
-    result.metrics = registry.snapshot()
-    return result
-
-
-def merge_join_chunks(
-    chunk_results: Sequence,
-    spec: JoinSpec,
-    backend: Optional[str] = None,
-) -> JoinResult:
-    """Combine per-chunk ``(matches, evaluated, generated, stats)`` tuples.
-
-    Matches concatenate in query order; work counters sum; stats merge
-    through the single :meth:`QueryStats.merge` implementation, so the
-    totals are independent of how the query set was chunked.
-    """
-    matches: List[Optional[int]] = []
-    evaluated = 0
-    generated = 0
-    stats = QueryStats()
-    for chunk_matches, chunk_evaluated, chunk_generated, chunk_stats in chunk_results:
-        matches.extend(chunk_matches)
-        evaluated += chunk_evaluated
-        generated += chunk_generated
-        stats = stats.merge(chunk_stats)
-    return JoinResult(
-        matches=matches,
-        spec=spec,
-        inner_products_evaluated=evaluated,
-        candidates_generated=generated,
-        backend=backend,
-        stats=stats,
-    )
-
-
-def parallel_lsh_join(
-    P,
-    Q,
-    spec: JoinSpec,
-    index_spec: Optional[BatchIndexSpec] = None,
-    index=None,
-    n_workers: Union[int, str] = 1,
-    n_probes: int = 0,
-    block: int = DEFAULT_BLOCK,
-    pool: str = "process",
-    executor: Optional[WorkerPool] = None,
-    blas_threads: Optional[int] = None,
-) -> JoinResult:
-    """Filter-then-verify ``(cs, s)`` join sharded over query blocks.
-
-    Args:
-        P, Q: data and query matrices.
-        spec: the ``(cs, s)`` parameters.
-        index_spec: a :class:`BatchIndexSpec` (or any picklable object
-            with ``build(P) -> index``); built once in the parent.
-        index: alternatively a pre-built index over ``P``; shared with
-            workers zero-copy.  Exactly one of ``index_spec`` /
-            ``index`` must be given.
-        n_workers: worker count or ``"auto"``.  ``1`` runs in-process
-            and reproduces the serial join exactly, seed for seed.
-        n_probes: multiprobe width (indexes that support it).
-        block: verification block size; chunk boundaries align to it so
-            worker-count changes never change results.
-        pool, executor, blas_threads: see :func:`map_query_chunks`.
-    """
-    P, Q = validate_join_inputs(P, Q)
-    if (index_spec is None) == (index is None):
-        raise ParameterError("provide exactly one of index_spec or index")
-    payload = index_spec if index_spec is not None else index
-    chunks = map_query_chunks(
-        payload, P, Q, _lsh_runner, (spec.signed, spec.cs, n_probes, block),
-        n_workers=n_workers, block=block, pool=pool, executor=executor,
-        blas_threads=blas_threads,
-    )
-    return merge_join_chunks(chunks, spec)
-
-
-def parallel_sketch_join(
-    P,
-    Q,
-    s: float,
-    structure_spec: Optional[SketchStructureSpec] = None,
-    structure=None,
-    n_workers: Union[int, str] = 1,
-    block: int = DEFAULT_BLOCK,
-    pool: str = "process",
-    executor: Optional[WorkerPool] = None,
-    blas_threads: Optional[int] = None,
-) -> JoinResult:
-    """The Section 4.3 sketch join sharded over query blocks.
-
-    The blocked sketch kernel is block-local in the queries, so the same
-    chunking contract as :func:`parallel_lsh_join` applies: chunk
-    boundaries align to ``block`` multiples, the structure is built once
-    in the parent and shared, and ``n_workers=1`` reproduces the serial
-    join exactly.
-    """
-    P, Q = validate_join_inputs(P, Q)
-    if (structure_spec is None) == (structure is None):
-        raise ParameterError("provide exactly one of structure_spec or structure")
-    payload = structure_spec if structure_spec is not None else structure
-    if structure_spec is not None:
-        from repro.sketches.stable import norm_ratio_bound
-
-        c = 1.0 / norm_ratio_bound(P.shape[0], float(structure_spec.kappa))
-    else:
-        c = structure.approximation_factor
-    spec = JoinSpec(s=s, c=c, signed=False)
-    chunks = map_query_chunks(
-        payload, P, Q, _sketch_runner, (spec.cs, block),
-        n_workers=n_workers, block=block, pool=pool, executor=executor,
-        blas_threads=blas_threads,
-    )
-    return merge_join_chunks(chunks, spec)
+    start = 0
+    for chunk in source.blocks(max(block, (rows // block) * block)):
+        yield start, start + chunk.shape[0], chunk
+        start += chunk.shape[0]

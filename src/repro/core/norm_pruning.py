@@ -47,7 +47,12 @@ class NormScanIndex:
             return self.n
         if query_norm <= 0:
             return 0
-        cutoff = threshold / query_norm
+        # Lower the cutoff by the dot product's rounding-error bound
+        # (gamma_d = d * eps, plus the norm and the division): a computed
+        # p . q can reach the threshold while |p| rounds to just below
+        # threshold / |q|, and pruning must never drop an exact match.
+        slack = (self.d + 2) * np.finfo(np.float64).eps
+        cutoff = threshold / query_norm * (1.0 - slack)
         # norms are descending; count entries >= cutoff.
         return int(np.searchsorted(-self.norms, -cutoff, side="right"))
 

@@ -16,6 +16,7 @@ and the session lifecycle.
 
 from repro.engine.api import join, plan
 from repro.engine.backends import (
+    BatchIndexSpec,
     BruteForceBackend,
     LSHBackend,
     NormPrunedBackend,
@@ -120,6 +121,7 @@ __all__ = [
     "register_measure",
     "get_measure",
     "available_measures",
+    "BatchIndexSpec",
     "BruteForceBackend",
     "NormPrunedBackend",
     "LSHBackend",

@@ -17,28 +17,27 @@ through this function:
    query subset into block-aligned chunks and runs the backend's
    ``run_chunk`` over each — in-process for ``n_workers=1``, across a
    process pool otherwise;
-4. chunk results merge in query order through the executor's single
-   merge path (:func:`repro.core.executor.merge_join_chunks` +
+4. chunk results merge in query order through the engine's single
+   merge (:func:`repro.engine.execute.merge_chunks` +
    :meth:`~repro.core.problems.QueryStats.merge`); for multi-stage
    plans the merged stage results fold into the global match arrays,
    and the unanswered-query mask flows to the next stage.
 
 Because serial execution is literally the one-chunk case of the same
-code, ``n_workers`` is an orthogonal knob: it never changes matches,
-work counters, or stats — and because each stage's unanswered mask is
-computed from its *fully merged* result, that holds stage by stage for
-multi-stage plans too.
+code, ``n_workers`` is an orthogonal knob: it never changes the
+planner's pick, matches, work counters, or stats — and because each
+stage's unanswered mask is computed from its *fully merged* result,
+that holds stage by stage for multi-stage plans too.
 
 Since the session split (:mod:`repro.engine.session`), ``join()`` itself
 is a thin shim: it opens a *lazy* :class:`~repro.engine.session.JoinSession`
 (no eager planning, preparation, or pool ownership) and runs exactly one
-query through the shared dispatch in :mod:`repro.engine.execute` —
-which is the old monolith's stage-walk, extracted verbatim.  Planning
-happens inside the query's ``planner`` span with ``expected_queries=1``
-(the amortized ranking reduces to the historical one), and stages
-prepare inline inside their spans, so results, span trees, stage
-records, and planner-log records are bit-identical to the pre-session
-engine.  Callers who run many queries against one ``P`` should hold a
+query through the shared stage walk in :mod:`repro.engine.execute`.
+Planning happens inside the query's ``planner`` span with
+``expected_queries=1`` (the amortized ranking reduces to the historical
+one), and stages prepare inline inside their spans, so results, span
+trees, stage records, and planner-log records are bit-identical to the
+pre-session engine.  Callers who run many queries against one ``P`` should hold a
 session (``engine.open``) instead and amortize the build.
 
 Observability (:mod:`repro.obs`) hangs off the same path.  With
@@ -73,7 +72,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Union
 
-from repro.core.executor import WorkerPool, resolve_workers
+from repro.core.executor import WorkerPool
 from repro.core.problems import JoinResult, JoinSpec
 from repro.core.verify import DEFAULT_BLOCK
 from repro.engine.measures import get_measure
@@ -114,20 +113,17 @@ def plan(
     spec: JoinSpec,
     model: Optional[CostModel] = None,
     include_hybrids: bool = True,
-    n_workers: Union[int, str] = 1,
 ) -> JoinPlan:
     """Rank candidate plans for this instance without running anything.
 
     The same planner call ``backend="auto"`` uses; exposed so callers
-    (and the dispatch bench) can inspect *why* a plan was chosen.
-    ``n_workers`` re-prices estimates for parallel execution
-    (:meth:`~repro.engine.planner.CostModel.parallelize`).
+    (and the dispatch bench) can inspect *why* a plan was chosen.  The
+    ranking is the same for every worker count.
     """
     P, Q, spec = _normalize_inputs(P, Q, spec)
     return plan_join(
         P.shape[0], Q.shape[0], P.shape[1], spec, model,
         include_hybrids=include_hybrids,
-        n_workers=resolve_workers(n_workers),
     )
 
 
@@ -160,9 +156,11 @@ def join(
             ``"auto"`` to let the cost-model planner choose among
             single-stage plans and two-stage hybrids.
         seed: reproducibility seed for backends that build randomized
-            structures; must be a concrete integer when combined with
-            ``n_workers > 1`` (workers rebuild from it).  Stage ``i`` of
-            a multi-stage plan derives its own seed as ``seed + i``.
+            structures; the LSH-family and sketch builds require a
+            concrete integer when combined with ``n_workers > 1``.  The
+            parent builds each structure once and workers share it; no
+            worker rebuilds.  Stage ``i`` of a multi-stage plan derives
+            its own seed as ``seed + i``.
         n_workers: worker count or ``"auto"`` (cpu_count capped by
             ``REPRO_MAX_WORKERS``) — an orthogonal execution knob routed
             through :mod:`repro.core.executor`; results are identical

@@ -23,10 +23,9 @@ assembles plans whose stages can actually serve the request.  The
 Jaccard set-join backends live in :mod:`repro.engine.set_backends`.
 
 The *structures* here are small picklable dataclasses wrapping either a
-built index or the recipe to build one: the executor's worker
-initializer calls ``payload.build(P)``, so a structure with a pending
-recipe is rebuilt (deterministically, from its integer seed) inside each
-worker, while a structure wrapping a prebuilt index ships it as-is.
+built index or the recipe to build one (:class:`BatchIndexSpec` for the
+LSH backend): the executor calls ``payload.build(P)`` once in the parent
+for every worker count, and workers receive the built structure.
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.core.executor import BatchIndexSpec
 from repro.core.problems import JoinSpec
 from repro.engine.protocol import ChunkResult, CostEstimate, JoinBackend
 from repro.errors import ParameterError
+from repro.lsh.batch import BatchSignIndex
 
 #: Default shape for auto-built LSH indexes (hyperplane scheme: valid on
 #: any data, unlike SIMPLE-LSH's unit-ball requirement).
@@ -199,16 +198,69 @@ class NormPrunedBackend(JoinBackend):
 # lsh
 
 
+#: Schemes BatchIndexSpec can build, mapping to BatchSignIndex constructors.
+SCHEMES = ("hyperplane", "datadep", "simple_lsh", "symmetric")
+
+
+@dataclass(frozen=True)
+class BatchIndexSpec:
+    """Picklable recipe for a :class:`~repro.lsh.batch.BatchSignIndex`.
+
+    Pure data — no callables, no arrays — and ``seed`` must be a
+    concrete integer, so two builds from the same spec (and data) are
+    identical.  Pass it as ``engine.join(..., backend="lsh",
+    index_spec=...)``.
+    """
+
+    d: int
+    scheme: str = "hyperplane"
+    n_tables: int = 16
+    bits_per_table: int = 12
+    seed: int = 0
+    layout: str = "csr"
+    query_radius: float = 1.0  # datadep only
+    eps: float = 0.05          # symmetric only
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ParameterError(
+                f"scheme must be one of {SCHEMES}, got {self.scheme!r}"
+            )
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ParameterError(
+                f"seed must be a concrete integer for reproducible "
+                f"builds, got {type(self.seed).__name__}"
+            )
+
+    def build(self, P) -> BatchSignIndex:
+        """Construct and build the index over ``P``."""
+        common = dict(
+            n_tables=self.n_tables,
+            bits_per_table=self.bits_per_table,
+            seed=int(self.seed),
+            layout=self.layout,
+        )
+        if self.scheme == "hyperplane":
+            index = BatchSignIndex.for_hyperplane(self.d, **common)
+        elif self.scheme == "datadep":
+            index = BatchSignIndex.for_datadep(
+                self.d, query_radius=self.query_radius, **common
+            )
+        elif self.scheme == "simple_lsh":
+            index = BatchSignIndex.for_simple_lsh(self.d, **common)
+        else:
+            index = BatchSignIndex.for_symmetric(self.d, eps=self.eps, **common)
+        return index.build(P)
+
+
 @dataclass
 class LSHStructure:
     """A candidates-providing index, prebuilt or described by a recipe.
 
     Exactly one of ``index`` (used as-is), ``index_spec`` (a
-    :class:`~repro.core.executor.BatchIndexSpec`-style recipe) or
-    ``family`` (+ shape/seed, rebuilt as a classic
-    :class:`~repro.lsh.index.LSHIndex`) is set; :meth:`build` resolves
-    the pending forms, in the parent for serial runs and inside each
-    worker for parallel ones.
+    :class:`BatchIndexSpec`-style recipe) or ``family`` (+ shape/seed,
+    built as a classic :class:`~repro.lsh.index.LSHIndex`) is set;
+    :meth:`build` resolves the pending forms once, in the parent.
     """
 
     spec: JoinSpec

@@ -153,6 +153,11 @@ class Plan:
     def is_multi_stage(self) -> bool:
         return len(self.stages) > 1
 
+    @property
+    def is_single_stage(self) -> bool:
+        """One stage over every point and query: no stage walk, no fold."""
+        return len(self.stages) == 1 and not self.stages[0].is_partitioned
+
     def consumes_proposals(self, index: int) -> bool:
         """True when stage ``index`` is fed the previous filter stage's
         survivor lists.

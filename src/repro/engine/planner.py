@@ -122,37 +122,6 @@ class CostModel:
     #: budget (cache/RAM spill: bandwidth-bound scans slow down by about
     #: the bytes-per-row ratio, which the penalty approximates).
     mem_over_budget_penalty: float = 8.0
-    #: Marginal speedup per additional worker (0..1): worker ``i`` adds
-    #: ``parallel_efficiency`` of a core's throughput.  Below 1 because
-    #: chunks share memory bandwidth and the merge is serial.
-    parallel_efficiency: float = 0.75
-    #: Fixed per-worker charge (ops): pool dispatch, payload-shell thaw,
-    #: per-chunk result pickling.
-    parallel_worker_overhead: float = 5e5
-    #: Core count the parallel term assumes; ``0`` means read
-    #: :func:`os.cpu_count` at plan time.  Tests pin this for
-    #: machine-independent assertions.
-    parallel_cores: float = 0.0
-
-    def effective_cores(self) -> float:
-        return (
-            float(self.parallel_cores)
-            if self.parallel_cores >= 1.0
-            else float(os.cpu_count() or 1)
-        )
-
-    def parallel_speedup(self, n_workers: int) -> float:
-        """Predicted throughput multiple of ``n_workers`` vs serial.
-
-        Workers beyond the core count add nothing (they time-slice), so
-        the efficiency term applies to ``min(n_workers, cores) - 1``
-        extra workers.
-        """
-        if n_workers <= 1:
-            return 1.0
-        w = min(float(n_workers), self.effective_cores())
-        return max(1.0, 1.0 + (w - 1.0) * self.parallel_efficiency)
-
     def memory_factor(self, row_bytes: float, n: int) -> float:
         """Scan-work multiplier for a structure of ``row_bytes * n`` bytes.
 
@@ -168,25 +137,6 @@ class CostModel:
         if row_bytes * float(n) <= self.mem_budget_bytes:
             return 1.0
         return self.mem_over_budget_penalty
-
-    def parallelize(self, estimate: "CostEstimate", n_workers: int) -> "CostEstimate":
-        """Re-price a backend estimate for parallel execution.
-
-        Query work divides by the predicted speedup — build work does
-        not: since the zero-copy executor builds once in the parent,
-        construction is serial regardless of worker count.  Each worker
-        also pays a fixed dispatch overhead, which is what lets the
-        planner conclude that a small join is cheaper serial.
-        """
-        if n_workers <= 1 or not estimate.feasible:
-            return estimate
-        return replace(
-            estimate,
-            query_ops=(
-                estimate.query_ops / self.parallel_speedup(n_workers)
-                + self.parallel_worker_overhead * n_workers
-            ),
-        )
 
     def lsh_plan(self, n: int, spec: JoinSpec):
         """A (k, L) plan for this instance, or ``None`` when underivable.
@@ -641,7 +591,6 @@ def plan_join(
     spec: JoinSpec,
     model: Optional[CostModel] = None,
     include_hybrids: bool = True,
-    n_workers: int = 1,
     expected_queries: float = 1.0,
 ) -> JoinPlan:
     """Rank every candidate plan for an ``(n, d) x (m, d)`` instance.
@@ -655,12 +604,9 @@ def plan_join(
     plans (the engine does this when backend-specific options were
     passed, since those bind to one backend).
 
-    With ``n_workers > 1`` every estimate is re-priced through
-    :meth:`CostModel.parallelize` — query work divides by the predicted
-    parallel speedup while build work stays serial — so ``auto`` ranks
-    backends under the execution mode that will actually run (a
-    build-heavy backend looks relatively worse parallel, where its
-    construction cannot be amortized across workers).
+    The ranking does not depend on the worker count: ``n_workers`` is
+    an execution knob that never changes results, so it cannot be
+    allowed to change the pick either.
 
     ``expected_queries`` amortizes build cost the other way: a session
     that will answer ~k query batches against one prepared structure
@@ -708,17 +654,6 @@ def plan_join(
     ]
     if include_hybrids:
         plans.extend(_hybrid_candidates(n, m, d, spec, model))
-    if n_workers > 1:
-        estimates = [model.parallelize(e, n_workers) for e in estimates]
-        plans = [
-            replace(
-                p,
-                stage_estimates=tuple(
-                    model.parallelize(e, n_workers) for e in p.stage_estimates
-                ),
-            )
-            for p in plans
-        ]
     eq = float(expected_queries)
     est_order = sorted(
         range(len(estimates)),

@@ -61,19 +61,19 @@ from repro.core.executor import (
     remove_crash_listener,
     resolve_workers,
 )
-from repro.core.problems import JoinResult, JoinSpec, QueryStats
+from repro.core.problems import JoinResult, JoinSpec
 from repro.core.verify import DEFAULT_BLOCK
 from repro.engine.execute import (
     PreparedStage,
     fold_stats_metrics,
+    merge_chunks,
     prepare_stage,
-    run_single_stage,
-    run_stage_plan,
+    run_plan,
 )
 from repro.engine.measures import get_measure
 from repro.engine.plan import Plan
 from repro.engine.planner import CostModel, plan_join
-from repro.engine.protocol import persistable_arrays
+from repro.engine.protocol import ChunkResult, persistable_arrays
 from repro.errors import ParameterError
 from repro.obs import MetricsRegistry, Tracer, observe
 from repro.obs.planner_log import PlannerRecord, current_log
@@ -277,7 +277,6 @@ class JoinSession:
             self.join_plan = plan_join(
                 self.P.shape[0], m, self.P.shape[1], self.spec, self.model,
                 include_hybrids=not self.options,
-                n_workers=self.n_workers,
                 expected_queries=self.expected_queries,
             )
             self.best_estimate = self.join_plan.best_plan
@@ -316,8 +315,7 @@ class JoinSession:
             )
 
     def _check_plan_shape(self) -> None:
-        stages = self.the_plan.stages
-        if len(stages) == 1 and not stages[0].is_partitioned:
+        if self.the_plan.is_single_stage:
             return
         if self.options:
             raise ParameterError(
@@ -467,41 +465,18 @@ class JoinSession:
                     self._resolve_plan(plan_m, planner_span)
                 elif planner_span is not None:
                     self._emit_planner_attrs(planner_span)
-            stages = self.the_plan.stages
-            if len(stages) == 1 and not stages[0].is_partitioned:
-                result, chunks, stage_records = run_single_stage(
-                    self.the_plan, self.P, Q, self.spec,
-                    options=self.options, seed=self.seed,
-                    n_workers=self.n_workers, block=self.block,
-                    trace=trace, tracer=tracer,
-                    pool=self.pool_kind, executor=self._executor_for_call(),
-                    blas_threads=self.blas_threads,
-                    prep=self._prepared[0] if self._prepared else None,
-                    on_prepare=self._count_prepare,
-                )
-            else:
-                self._check_plan_shape()
-                if stream:
-                    raise ParameterError(
-                        "multi-stage plans cannot consume a stream "
-                        "directly; use session.query_stream, which "
-                        "re-blocks and folds per-chunk batches"
-                    )
-                result, chunks, stage_records = run_stage_plan(
-                    self.the_plan, self.P, Q, self.spec,
-                    seed=self.seed, n_workers=self.n_workers,
-                    block=self.block, trace=trace, tracer=tracer,
-                    pool=self.pool_kind, executor=self._executor_for_call(),
-                    blas_threads=self.blas_threads,
-                    prepared=self._prepared or None,
-                    on_prepare=self._count_prepare,
-                )
-                with tracer.span("merge", stages=len(stage_records)):
-                    pass
+            self._check_plan_shape()
+            result, chunks, stage_records = run_plan(
+                self.the_plan, self.P, Q, self.spec,
+                options=self.options, seed=self.seed,
+                n_workers=self.n_workers, block=self.block,
+                trace=trace, tracer=tracer,
+                pool=self.pool_kind, executor=self._executor_for_call(),
+                blas_threads=self.blas_threads,
+                prepared=self._prepared or None,
+                on_prepare=self._count_prepare,
+            )
         result.wall_s = time.perf_counter() - wall_start
-        bounds = [c.error_bound for c in chunks if c.error_bound is not None]
-        if bounds:
-            result.error_bound = max(bounds)
         if (
             stage_records
             and stage_records[0]["wall_s"] == 0.0
@@ -808,19 +783,13 @@ class JoinSession:
         )
         rows = max(self.block, (rows // self.block) * self.block)
         counted = self._counting_blocks(source, rows)
-        stages = self.the_plan.stages if self.the_plan is not None else None
-        single = (
-            stages is not None
-            and len(stages) == 1
-            and not stages[0].is_partitioned
-        )
         sampled = (
             not trace
             and self.sampler is not None
             and self.sampler.should_sample()
         )
         t0 = time.perf_counter_ns()
-        if single:
+        if self.the_plan.is_single_stage:
             stream = QuerySource.from_chunks(
                 counted, d=int(self.P.shape[1]), chunk_rows=rows
             )
@@ -835,7 +804,18 @@ class JoinSession:
                 )
                 for chunk in counted
             ]
-            result = self._merge_stream_parts(parts)
+            result = merge_chunks(
+                [
+                    ChunkResult(
+                        p.matches, p.inner_products_evaluated,
+                        p.candidates_generated, p.stats, topk=p.topk,
+                        error_bound=p.error_bound,
+                    )
+                    for p in parts
+                ],
+                self.spec, self.the_plan.backend,
+            )
+            result.wall_s = sum(p.wall_s for p in parts)
             stage_records = [
                 dict(
                     index=0, backend=result.backend,
@@ -857,46 +837,6 @@ class JoinSession:
         for chunk in source.blocks(rows):
             self.metrics.counter("session.stream_chunks").inc()
             yield chunk
-
-    def _merge_stream_parts(self, parts: List[JoinResult]) -> JoinResult:
-        if not parts:
-            return JoinResult(
-                matches=[], spec=self.spec,
-                inner_products_evaluated=0, candidates_generated=0,
-                topk=[] if self.spec.is_topk else None,
-                backend=self.the_plan.backend if self.the_plan else None,
-                stats=QueryStats(), wall_s=0.0,
-            )
-        matches: List[Optional[int]] = []
-        topk: Optional[List[List[int]]] = [] if parts[0].topk is not None else None
-        evaluated = 0
-        generated = 0
-        stats = QueryStats()
-        wall = 0.0
-        bound = None
-        for part in parts:
-            matches.extend(part.matches)
-            if topk is not None:
-                topk.extend(part.topk or [])
-            evaluated += part.inner_products_evaluated
-            generated += part.candidates_generated
-            if part.stats is not None:
-                stats = stats.merge(part.stats)
-            wall += part.wall_s or 0.0
-            if part.error_bound is not None:
-                bound = max(bound, part.error_bound) if bound is not None else part.error_bound
-        merged = JoinResult(
-            matches=matches,
-            spec=parts[0].spec,
-            inner_products_evaluated=int(evaluated),
-            candidates_generated=int(generated),
-            topk=topk,
-            backend=parts[0].backend,
-            stats=stats,
-        )
-        merged.wall_s = wall
-        merged.error_bound = bound
-        return merged
 
     # -- persistence -----------------------------------------------------
 

@@ -23,6 +23,17 @@ class TestNormScanIndex:
         if length < index.n:
             assert index.norms[length] < 0.5
 
+    def test_prefix_keeps_match_at_rounded_cutoff(self):
+        """p . q rounds up to exactly cs while threshold / |q| rounds above
+        |p|: the prefix must still contain p (brute force matches it)."""
+        P = np.zeros((8, 4))
+        P[0, 0] = 0.1
+        Q = np.zeros((5, 4))
+        Q[0, 0] = 0.1
+        spec = JoinSpec(s=0.1, c=0.1, signed=False)
+        assert brute_force_join(P, Q, spec).matches[0] == 0
+        assert norm_pruned_join(P, Q, spec).matches[0] == 0
+
     def test_prefix_zero_threshold_scans_all(self, model):
         index = NormScanIndex(model.items)
         assert index.prefix_length(1.0, 0.0) == index.n

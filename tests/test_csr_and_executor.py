@@ -3,21 +3,21 @@
 The fast paths must be *refactorings*, not new algorithms: same seed ⇒
 identical candidate sets and identical join matches across the generic
 ``LSHIndex``, the dict-layout ``BatchSignIndex``, the CSR layout, and
-the process-parallel executor at any worker count.
+the engine's process-parallel executor at any worker count.
 """
 
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.core import (
-    BatchIndexSpec,
     JoinSpec,
     lsh_join,
     lsh_self_join,
-    parallel_lsh_join,
     verify_block,
     verify_candidates,
 )
+from repro.engine import BatchIndexSpec
 from repro.datasets import planted_mips, random_unit
 from repro.errors import ParameterError
 from repro.lsh import BatchSignIndex, CSRBucketTable, DataDepALSH, LSHIndex
@@ -221,53 +221,48 @@ class TestExecutor:
         )
         return P, Q, spec, index_spec
 
+    @staticmethod
+    def _join(workload, **kw):
+        P, Q, spec, index_spec = workload
+        kw.setdefault("index_spec", index_spec)
+        return engine.join(P, Q, spec, backend="lsh", **kw)
+
     def test_serial_equals_lsh_join(self, workload):
         P, Q, spec, index_spec = workload
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=1)
+        serial = self._join(workload, n_workers=1)
         via_join = lsh_join(P, Q, spec, family=None, index=index_spec.build(P))
         assert serial.matches == via_join.matches
         assert serial.inner_products_evaluated == via_join.inner_products_evaluated
         assert serial.candidates_generated == via_join.candidates_generated
 
     def test_four_workers_identical_to_serial(self, workload):
-        P, Q, spec, index_spec = workload
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=1)
-        parallel = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=4)
+        serial = self._join(workload, n_workers=1)
+        parallel = self._join(workload, n_workers=4)
         assert serial.matches == parallel.matches
         assert serial.inner_products_evaluated == parallel.inner_products_evaluated
         assert serial.candidates_generated == parallel.candidates_generated
 
     def test_multiprobe_parallel_identical(self, workload):
-        P, Q, spec, index_spec = workload
-        serial = parallel_lsh_join(
-            P, Q, spec, index_spec=index_spec, n_workers=1, n_probes=2
-        )
-        parallel = parallel_lsh_join(
-            P, Q, spec, index_spec=index_spec, n_workers=2, n_probes=2
-        )
+        serial = self._join(workload, n_workers=1, n_probes=2)
+        parallel = self._join(workload, n_workers=2, n_probes=2)
         assert serial.matches == parallel.matches
         # Multiprobe inspects strictly more candidates than exact-only.
-        exact_only = parallel_lsh_join(
-            P, Q, spec, index_spec=index_spec, n_workers=1
-        )
+        exact_only = self._join(workload, n_workers=1)
         assert serial.candidates_generated >= exact_only.candidates_generated
 
     def test_prebuilt_index_shipped_to_workers(self, workload):
         P, Q, spec, index_spec = workload
-        index = index_spec.build(P)
-        parallel = parallel_lsh_join(P, Q, spec, index=index, n_workers=2)
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec, n_workers=1)
+        parallel = self._join(
+            workload, index_spec=None, index=index_spec.build(P), n_workers=2
+        )
+        serial = self._join(workload, n_workers=1)
         assert parallel.matches == serial.matches
 
     def test_block_alignment_worker_count_invariance(self, workload):
         """Different worker counts shard at different boundaries but the
         block alignment keeps every GEMM identical."""
-        P, Q, spec, index_spec = workload
         results = [
-            parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, n_workers=w, block=64
-            )
-            for w in (1, 2, 3)
+            self._join(workload, n_workers=w, block=64) for w in (1, 2, 3)
         ]
         assert results[0].matches == results[1].matches == results[2].matches
 
@@ -276,15 +271,6 @@ class TestExecutor:
             BatchIndexSpec(d=8, scheme="nope")
         with pytest.raises(ParameterError, match="seed"):
             BatchIndexSpec(d=8, seed=None)
-
-    def test_exactly_one_index_source(self, workload):
-        P, Q, spec, index_spec = workload
-        with pytest.raises(ParameterError, match="exactly one"):
-            parallel_lsh_join(P, Q, spec)
-        with pytest.raises(ParameterError, match="exactly one"):
-            parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, index=index_spec.build(P)
-            )
 
 
 class TestSelfJoinBlockedPath:

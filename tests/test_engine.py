@@ -15,10 +15,8 @@ import pytest
 
 from repro import engine
 from repro.core import (
-    BatchIndexSpec,
     JoinSpec,
     QueryStats,
-    SketchStructureSpec,
     brute_force_join,
     join_topk,
     lsh_join,
@@ -32,6 +30,7 @@ from repro.core import (
 )
 from repro.datasets import planted_mips
 from repro.engine import (
+    BatchIndexSpec,
     CostEstimate,
     CostModel,
     available_backends,

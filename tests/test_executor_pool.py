@@ -7,8 +7,7 @@ The load-bearing guarantees under test:
 * chunk results come back in query order no matter the completion order;
 * ``n_workers=k`` is bit-identical to serial for every backend, pool
   kind, and multi-stage Plan (matches, counters, stats, metrics);
-* ``n_workers="auto"`` and the planner's parallel re-pricing behave
-  deterministically under pinned knobs.
+* ``n_workers="auto"`` resolves deterministically under pinned knobs.
 
 The CI parallel leg sets ``REPRO_TEST_WORKERS`` to run the equivalence
 matrix at a different worker count; the default is 2.
@@ -26,7 +25,6 @@ from repro.core import (
     close_pools,
     get_pool,
     map_query_chunks,
-    parallel_lsh_join,
     resolve_workers,
 )
 from repro.core.arena import (
@@ -37,12 +35,11 @@ from repro.core.arena import (
     repro_segments,
     thaw,
 )
-from repro.core.executor import BatchIndexSpec, _chunk_bounds
+from repro.core.executor import QuerySource, _chunk_bounds
 from repro.engine import (
-    CostModel,
+    BatchIndexSpec,
     join,
     norm_prefix_lsh_plan,
-    plan_join,
     shard_bounds,
     sharded_join,
 )
@@ -266,12 +263,16 @@ class TestWorkerPoolLifecycle:
         with pytest.raises(ParameterError, match="pool kind"):
             WorkerPool(2, kind="fibers")
 
-    def test_segments_freed_after_worker_crash(self):
-        """A dying worker must not leave /dev/shm segments behind."""
+    @pytest.mark.parametrize("stream", [False, True], ids=["array", "stream"])
+    def test_segments_freed_after_worker_crash(self, stream):
+        """A dying worker must not leave /dev/shm segments behind — for
+        an in-memory ``Q`` and mid-stream alike."""
         from concurrent.futures.process import BrokenProcessPool
 
         P = np.zeros((256, 64))
         Q = np.zeros((8, 64))
+        if stream:
+            Q = QuerySource.from_chunks(iter([Q[:4], Q[4:]]), chunk_rows=4)
         before = repro_segments()
         pool = WorkerPool(2, kind="process")
         with pytest.raises(BrokenProcessPool):
@@ -384,10 +385,11 @@ class TestExecutionModeEquivalence:
         index_spec = BatchIndexSpec(
             d=24, scheme="hyperplane", n_tables=6, bits_per_table=7, seed=2
         )
-        serial = parallel_lsh_join(P, Q, spec, index_spec=index_spec)
+        serial = join(P, Q, spec, backend="lsh", index_spec=index_spec)
         with WorkerPool(2, kind="process", mp_context="spawn") as pool:
-            spawned = parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, n_workers=2, executor=pool
+            spawned = join(
+                P, Q, spec, backend="lsh", index_spec=index_spec,
+                n_workers=2, executor=pool,
             )
         assert _result_key(serial) == _result_key(spawned)
 
@@ -417,45 +419,6 @@ class TestExecutionModeEquivalence:
         serial = join(P, Q, spec, backend="auto", seed=5, n_workers=1)
         parallel = join(P, Q, spec, backend="auto", seed=5, n_workers=2)
         assert serial.matches == parallel.matches
-
-
-class TestPlannerParallelPricing:
-    MODEL = CostModel(parallel_cores=8)
-
-    def test_speedup_math(self):
-        m = self.MODEL
-        assert m.parallel_speedup(1) == 1.0
-        assert m.parallel_speedup(4) == pytest.approx(1 + 3 * 0.75)
-        # Workers beyond the pinned core count add nothing.
-        assert m.parallel_speedup(64) == m.parallel_speedup(8)
-
-    def test_parallelize_divides_query_ops_not_build(self):
-        from repro.engine.protocol import CostEstimate
-
-        est = CostEstimate(
-            backend="x", build_ops=1e9, query_ops=8e9, feasible=True
-        )
-        out = self.MODEL.parallelize(est, 4)
-        assert out.build_ops == est.build_ops  # build stays serial
-        expected = 8e9 / self.MODEL.parallel_speedup(4) + 4 * 5e5
-        assert out.query_ops == pytest.approx(expected)
-        # n_workers=1 and infeasible estimates pass through untouched.
-        assert self.MODEL.parallelize(est, 1) is est
-
-    def test_small_join_prices_higher_parallel(self):
-        spec = JoinSpec(s=0.5, c=0.8)
-        serial = plan_join(500, 260, 32, spec, self.MODEL, n_workers=1)
-        parallel = plan_join(500, 260, 32, spec, self.MODEL, n_workers=4)
-        # Per-worker dispatch overhead dominates a tiny join.
-        assert parallel.best_plan.total_ops > serial.best_plan.total_ops
-
-    def test_large_join_prices_lower_parallel(self):
-        spec = JoinSpec(s=0.5, c=0.8)
-        serial = plan_join(200_000, 50_000, 64, spec, self.MODEL, n_workers=1)
-        parallel = plan_join(
-            200_000, 50_000, 64, spec, self.MODEL, n_workers=4
-        )
-        assert parallel.best_plan.total_ops < serial.best_plan.total_ops
 
 
 class TestShardedJoin:

@@ -476,7 +476,9 @@ class TestCostModelPersistence:
 
     def test_load_ignores_unknown_keys_rejects_bad_values(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"row_op": 7, "future_field": "x"}))
+        path.write_text(json.dumps(
+            {"row_op": 7, "future_field": "x", "parallel_efficiency": 0.75}
+        ))
         assert CostModel.load(str(path)).row_op == 7.0
         path.write_text(json.dumps({"row_op": "fast"}))
         with pytest.raises(ParameterError, match="must be a number"):

@@ -295,12 +295,13 @@ class TestQueryStream:
             == batch.inner_products_evaluated
         )
 
-    def test_stream_parallel_matches_serial(self, instance, spec):
+    @pytest.mark.parametrize("pool", ["process", "thread"])
+    def test_stream_parallel_matches_serial(self, instance, spec, pool):
         serial = join(instance.P, instance.Q, spec, backend="lsh", seed=3,
                       **LSH)
         with open_session(
             instance.P, spec, backend="lsh", seed=3,
-            n_workers=TEST_WORKERS, pool="thread", block=16, **LSH
+            n_workers=TEST_WORKERS, pool=pool, block=16, **LSH
         ) as session:
             streamed = session.query_stream(
                 iter([instance.Q[:13], instance.Q[13:]]), chunk_rows=16

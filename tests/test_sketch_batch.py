@@ -10,7 +10,7 @@ tight tolerance.
 import numpy as np
 import pytest
 
-from repro.core.executor import SketchStructureSpec, parallel_sketch_join
+from repro import engine
 from repro.core.problems import JoinSpec
 from repro.core.sketch_join import sketch_unsigned_join
 from repro.core.verify import verify_candidates
@@ -141,12 +141,19 @@ def test_sketch_mips_query_batch(data):
     )
 
 
-def test_parallel_sketch_join_worker_invariance(data):
+@pytest.mark.parametrize("pool", ["process", "thread"])
+def test_engine_sketch_join_worker_invariance(data, pool):
     A, Q = data
-    spec = SketchStructureSpec(kappa=4.0, copies=5, seed=37)
-    serial = sketch_unsigned_join(A, Q, s=2.0, structure=spec.build(A), block=32)
-    one = parallel_sketch_join(A, Q, s=2.0, structure_spec=spec, n_workers=1, block=32)
-    multi = parallel_sketch_join(A, Q, s=2.0, structure_spec=spec, n_workers=2, block=32)
+    structure = SketchCMIPS(A, kappa=4.0, copies=5, seed=37)
+    serial = sketch_unsigned_join(A, Q, s=2.0, structure=structure, block=32)
+    spec = JoinSpec(s=2.0, c=0.5, signed=False)
+    one, multi = (
+        engine.join(
+            A, Q, spec, backend="sketch", kappa=4.0, copies=5, seed=37,
+            n_workers=w, block=32, pool=pool,
+        )
+        for w in (1, 2)
+    )
     assert serial.matches == one.matches == multi.matches
     assert (
         serial.inner_products_evaluated
@@ -156,12 +163,13 @@ def test_parallel_sketch_join_worker_invariance(data):
     assert one.spec.cs == pytest.approx(multi.spec.cs)
 
 
-def test_parallel_sketch_join_validates_payload(data):
+def test_engine_sketch_join_parallel_requires_concrete_seed(data):
     A, Q = data
-    with pytest.raises(ParameterError):
-        parallel_sketch_join(A, Q, s=1.0)
-    with pytest.raises(ParameterError):
-        SketchStructureSpec(seed=None)
+    with pytest.raises(ParameterError, match="concrete integer seed"):
+        engine.join(
+            A, Q, JoinSpec(s=1.0, c=0.5, signed=False), backend="sketch",
+            n_workers=2, seed=None,
+        )
 
 
 def test_mips_engine_default_query_batch(data):

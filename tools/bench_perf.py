@@ -14,8 +14,8 @@ baseline to beat.  Two modes:
 Suites (select with ``--suites``):
 
 * ``core``: dict-vs-CSR build and candidate generation, per-query GEMV
-  loop vs the blocked verification kernel, ``parallel_lsh_join``
-  worker scaling.
+  loop vs the blocked verification kernel, ``engine.join``
+  (``backend="lsh"``) worker scaling.
 * ``hash_batch_vs_generic``: the batch hashing protocol — family-native
   ``hash_matrix`` vs the generic per-row closure path of ``LSHIndex``
   for hyperplane, cross-polytope, and E2LSH, with identical candidate
@@ -122,23 +122,20 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core import JoinSpec, close_pools, parallel_lsh_join
+from repro.core import JoinSpec, close_pools
 from repro.core.brute_force import brute_force_join
-from repro.core.executor import (
-    BatchIndexSpec,
-    QuerySource,
-    _chunk_bounds,
-    merge_join_chunks,
-)
+from repro.core.executor import QuerySource, _chunk_bounds
 from repro.core.lsh_join import lsh_filter_verify_chunk
 from repro.core.problems import JoinResult
 from repro.core.sketch_join import sketch_unsigned_join
 from repro.core.verify import verify_block, verify_candidates
 from repro.datasets import jaccard_pair, planted_jaccard_sets, random_unit
+from repro.engine import BatchIndexSpec, ChunkResult
 from repro.engine import Plan, norm_prefix_lsh_plan, quantized_filter_plan
 from repro.engine import open_session
 from repro.engine import join as engine_join
 from repro.engine import plan_join
+from repro.engine.execute import merge_chunks
 from repro.engine.planner import default_model
 from repro.quant import quantize_rows, quantized_scan_survivors
 from repro.lsh import BatchSignIndex, CrossPolytopeLSH, E2LSH, HyperplaneLSH, LSHIndex
@@ -968,6 +965,23 @@ def _run_quant_suite(quick: bool, timings: dict, speedups: dict,
     return cfg
 
 
+# The pre-arena executor's worker state, reproduced as the bench baseline.
+# Module-level so the pool pickles the task functions by reference.
+_LEGACY_STATE: dict = {}
+
+
+def _legacy_init_worker(index_spec, P) -> None:
+    _LEGACY_STATE["index"] = index_spec.build(P)
+    _LEGACY_STATE["P"] = P
+
+
+def _legacy_run_chunk(Q_chunk, signed: bool, cs: float, block: int):
+    return lsh_filter_verify_chunk(
+        _LEGACY_STATE["index"], _LEGACY_STATE["P"], Q_chunk, signed, cs, 0,
+        block,
+    )
+
+
 def _legacy_parallel_lsh_join(P, Q, spec: JoinSpec, index_spec,
                               n_workers: int, block: int) -> JoinResult:
     """The pre-arena executor, reproduced inline as the bench baseline.
@@ -977,19 +991,29 @@ def _legacy_parallel_lsh_join(P, Q, spec: JoinSpec, index_spec,
     rebuild), and every ``Q`` chunk pickled per task — exactly the data
     movement the shared-memory arena eliminated.  Results are
     bit-identical to the zero-copy path; only the transport differs.
+    The pool forks (where the platform can) so workers find this
+    module's task functions whether it runs as a script or an import.
     """
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.core.executor import _init_worker, _lsh_runner, _run_worker_chunk
-
+    ctx = (multiprocessing.get_context("fork")
+           if "fork" in multiprocessing.get_all_start_methods() else None)
     bounds = _chunk_bounds(Q.shape[0], block, n_workers)
-    args = (spec.signed, spec.cs, 0, block)
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx,
+                             initializer=_legacy_init_worker,
                              initargs=(index_spec, P)) as ex:
-        futures = [ex.submit(_run_worker_chunk, _lsh_runner, Q[s:e], s, args)
+        futures = [ex.submit(_legacy_run_chunk, Q[s:e], spec.signed, spec.cs,
+                             block)
                    for s, e in bounds]
-        chunks = [f.result() for f in futures]
-    return merge_join_chunks(chunks, spec)
+        chunks = [ChunkResult(*f.result()) for f in futures]
+    return merge_chunks(chunks, spec, None)
+
+
+def _lsh_engine_join(P, Q, spec: JoinSpec, index_spec, n_workers: int,
+                     block: int, pool: str = "process") -> JoinResult:
+    return engine_join(P, Q, spec, backend="lsh", index_spec=index_spec,
+                       n_workers=n_workers, block=block, pool=pool)
 
 
 def _run_parallel_suite(quick: bool, timings: dict, speedups: dict,
@@ -1015,8 +1039,7 @@ def _run_parallel_suite(quick: bool, timings: dict, speedups: dict,
                 s.unique_candidates, s.probed_buckets)
 
     serial_s, serial = _timed(
-        lambda: parallel_lsh_join(P, Q, spec, index_spec=index_spec,
-                                  n_workers=1, block=block),
+        lambda: _lsh_engine_join(P, Q, spec, index_spec, 1, block),
         repeats=repeats)
     timings["parallel_serial_s"] = serial_s
 
@@ -1027,14 +1050,12 @@ def _run_parallel_suite(quick: bool, timings: dict, speedups: dict,
         print(f"[bench_perf] parallel: {w} workers "
               f"(process / thread / legacy) ...", flush=True)
         process_s, process = _timed(
-            lambda w=w: parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, n_workers=w,
-                block=block, pool="process"),
+            lambda w=w: _lsh_engine_join(P, Q, spec, index_spec, w, block,
+                                         pool="process"),
             repeats=repeats)
         thread_s, threaded = _timed(
-            lambda w=w: parallel_lsh_join(
-                P, Q, spec, index_spec=index_spec, n_workers=w,
-                block=block, pool="thread"),
+            lambda w=w: _lsh_engine_join(P, Q, spec, index_spec, w, block,
+                                         pool="thread"),
             repeats=repeats)
         legacy_s, legacy = _timed(
             lambda w=w: _legacy_parallel_lsh_join(
@@ -1617,8 +1638,8 @@ def _run_core_suite(quick: bool, meta: dict, timings: dict, speedups: dict,
     join_results = {}
     for workers in cfg["workers"]:
         print(f"[bench_perf] join: {workers} worker(s) ...", flush=True)
-        secs, result = _timed(lambda w=workers: parallel_lsh_join(
-            P, Q, spec, index_spec=index_spec, n_workers=w, block=cfg["block"]))
+        secs, result = _timed(lambda w=workers: _lsh_engine_join(
+            P, Q, spec, index_spec, w, cfg["block"]))
         join_seconds[str(workers)] = secs
         join_results[workers] = result
     base = join_results[cfg["workers"][0]]

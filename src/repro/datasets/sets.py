@@ -13,7 +13,7 @@ shared integer universe as two flat arrays (``indptr``/``indices``),
 supports the small matrix protocol the executor relies on (``shape``,
 ``len``, slice and fancy ``__getitem__``), pickles as plain ndarrays so
 the shared-memory arena can freeze/thaw it zero-copy, and round-trips
-to the dense binary matrices the MinHash kernels hash.
+to dense binary matrices (the set kernels read the CSR arrays directly).
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class SetCollection:
 
     # -- conversions -----------------------------------------------------
     def to_dense(self, dtype=np.float64) -> np.ndarray:
-        """Dense ``(n, universe)`` binary matrix (MinHash kernel input)."""
+        """Dense ``(n, universe)`` binary matrix."""
         out = np.zeros(self.shape, dtype=dtype)
         rows = np.repeat(np.arange(len(self)), self.sizes)
         out[rows, self.indices] = 1

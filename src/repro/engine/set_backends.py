@@ -32,10 +32,8 @@ from repro.core.set_join import (
     DEFAULT_MINHASH_TABLES,
     MinHashSetIndex,
     SetPostings,
-    jaccard_scan_chunk,
-    jaccard_self_chunk,
-    jaccard_topk_chunk,
     minhash_join_chunk,
+    set_scan_chunk,
 )
 from repro.datasets.sets import SetCollection
 from repro.engine.backends import _concrete_seed, _require_variant
@@ -49,6 +47,23 @@ def _as_sets(obj, name: str) -> SetCollection:
     if isinstance(obj, SetCollection):
         return obj
     return SetCollection.coerce(np.asarray(obj), name)
+
+
+def _run_variant(kernel, target, spec: JoinSpec, Q_chunk, start) -> ChunkResult:
+    """Run ``kernel`` for the spec's variant and wrap its answers."""
+    Q_chunk = _as_sets(Q_chunk, "Q")
+    if spec.is_topk:
+        lists, evaluated, generated, stats = kernel(
+            target, Q_chunk, spec.cs, k=spec.k
+        )
+        matches = [int(lst[0]) if lst else None for lst in lists]
+        return ChunkResult(matches, evaluated, generated, stats, topk=lists)
+    if spec.is_self:
+        out = kernel(target, Q_chunk, spec.cs, self_start=start,
+                     match_duplicates=spec.match_duplicates)
+    else:
+        out = kernel(target, Q_chunk, spec.cs)
+    return ChunkResult(*out)
 
 
 def _not_jaccard(name: str, spec: JoinSpec):
@@ -98,25 +113,8 @@ class SetScanBackend(JoinBackend):
         return SetScanStructure(spec=spec), spec
 
     def run_chunk(self, structure, P, Q_chunk, start):
-        spec = structure.spec
-        postings = structure.postings
-        Q_chunk = _as_sets(Q_chunk, "Q")
-        if spec.is_topk:
-            lists, evaluated, generated, stats = jaccard_topk_chunk(
-                postings, Q_chunk, spec.cs, spec.k
-            )
-            matches = [int(lst[0]) if lst else None for lst in lists]
-            return ChunkResult(matches, evaluated, generated, stats, topk=lists)
-        if spec.is_self:
-            matches, evaluated, generated, stats = jaccard_self_chunk(
-                postings, _as_sets(P, "P"), Q_chunk, start, spec.cs,
-                spec.match_duplicates,
-            )
-        else:
-            matches, evaluated, generated, stats = jaccard_scan_chunk(
-                postings, Q_chunk, spec.cs
-            )
-        return ChunkResult(matches, evaluated, generated, stats)
+        return _run_variant(set_scan_chunk, structure.postings,
+                            structure.spec, Q_chunk, start)
 
     def estimate_cost(self, n, m, d, spec, model):
         bad = _not_jaccard(self.name, spec)
@@ -148,8 +146,8 @@ class SetScanBackend(JoinBackend):
 
 @dataclass
 class MinHashStructure:
-    """A size-partitioned MinHash index recipe, rebuilt deterministically
-    from its integer seed (per worker when the pool path needs it)."""
+    """A size-partitioned MinHash index recipe, built lazily (once, in the
+    parent) and deterministically from its integer seed."""
 
     spec: JoinSpec
     n_tables: int = DEFAULT_MINHASH_TABLES
@@ -195,24 +193,8 @@ class MinHashLSHBackend(JoinBackend):
         return structure, spec
 
     def run_chunk(self, structure, P, Q_chunk, start):
-        spec = structure.spec
-        Q_chunk = _as_sets(Q_chunk, "Q")
-        if spec.is_topk:
-            lists, evaluated, generated, stats = minhash_join_chunk(
-                structure.index, Q_chunk, spec.cs, k=spec.k
-            )
-            matches = [int(lst[0]) if lst else None for lst in lists]
-            return ChunkResult(matches, evaluated, generated, stats, topk=lists)
-        if spec.is_self:
-            matches, evaluated, generated, stats = minhash_join_chunk(
-                structure.index, Q_chunk, spec.cs, self_start=start,
-                match_duplicates=spec.match_duplicates,
-            )
-        else:
-            matches, evaluated, generated, stats = minhash_join_chunk(
-                structure.index, Q_chunk, spec.cs
-            )
-        return ChunkResult(matches, evaluated, generated, stats)
+        return _run_variant(minhash_join_chunk, structure.index,
+                            structure.spec, Q_chunk, start)
 
     def estimate_cost(self, n, m, d, spec, model):
         bad = _not_jaccard(self.name, spec)

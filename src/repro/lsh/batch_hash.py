@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import DomainError, ParameterError, ValidationError
 from repro.lsh.base import BatchHashTables, MISS_KEY
-from repro.lsh.csr import sorted_unique
+from repro.lsh.csr import multi_arange, sorted_unique
 from repro.utils.validation import check_matrix
 
 #: Largest fused key product handled by the fixed mixed-radix pack.
@@ -382,10 +382,14 @@ def _binary_rows(X) -> np.ndarray:
 
 
 class MinHashTables(ComponentHashTables):
-    """Minwise components: masked argmin over all permutations at once.
+    """Minwise components: one ``min`` over each set's member priorities.
 
     Component values are the minimizing *element index* shifted by one so
-    the empty-set sentinel packs as ``0`` (radix ``universe + 1``).
+    the empty-set sentinel packs as ``0`` (radix ``universe + 1``).  The
+    kernel reads sets in CSR form (:meth:`hash_csr`); dense binary input
+    is converted to CSR first, so both entry points share it.  Each
+    priority row is a permutation of the universe, so the smallest
+    member priority names its element through the inverse permutation.
     """
 
     def __init__(self, priorities: np.ndarray, n_tables: int, hashes_per_table: int):
@@ -395,36 +399,92 @@ class MinHashTables(ComponentHashTables):
             raise ValidationError(
                 f"priorities must be ({count}, universe), got {priorities.shape}"
             )
-        super().__init__(n_tables, hashes_per_table, radices=priorities.shape[1] + 1)
+        universe = priorities.shape[1]
+        super().__init__(n_tables, hashes_per_table, radices=universe + 1)
+        inverse = np.full(priorities.shape, -1, dtype=np.int64)
+        if priorities.size and 0 <= priorities.min() and priorities.max() < universe:
+            np.put_along_axis(
+                inverse, priorities,
+                np.broadcast_to(np.arange(universe), priorities.shape), axis=1,
+            )
+        if (inverse < 0).any():
+            raise ValidationError(
+                "each priority row must be a permutation of range(universe)"
+            )
         self._priorities = priorities
-        self._universe = priorities.shape[1]
+        self._universe = universe
+        self._inverse = inverse
+        # Element-major priorities in the narrowest dtype holding the
+        # padding row ``universe``, which outranks every real priority.
+        cols = np.empty((universe + 1, count), dtype=np.min_scalar_type(universe))
+        cols[:universe] = priorities.T
+        cols[universe] = universe
+        self._priority_cols = cols
 
     def _as_rows(self, X):
         return _binary_rows(X)
 
-    def _check_universe(self, B: np.ndarray) -> None:
-        if B.shape[1] != self._universe:
+    def _check_universe(self, universe: int) -> None:
+        if universe != self._universe:
             raise ValidationError(
-                f"X must have {self._universe} columns, got {B.shape[1]}"
+                f"X must have {self._universe} columns, got {universe}"
             )
+
+    def hash_csr(self, indptr, indices, universe: int, side: str = "data") -> np.ndarray:
+        """Fused ``(n, n_tables)`` keys of ``n`` sets in CSR form.
+
+        Set ``i`` is ``indices[indptr[i]:indptr[i+1]]`` over
+        ``range(universe)``; keys equal :meth:`hash_matrix` of the dense
+        binary matrix.
+        """
+        side = self._check_side(side)
+        self._check_universe(universe)
+        comps = self._csr_components(
+            np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+        )
+        return self._fuse(
+            comps.reshape(-1, self.n_tables, self.hashes_per_table), side
+        )
 
     def _components(self, X, side):
         B = _binary_rows(X)
-        self._check_universe(B)
+        self._check_universe(B.shape[1])
         n = B.shape[0]
+        rows, cols = np.nonzero(B)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        comps = self._csr_components(indptr, cols.astype(np.int64))
+        return comps.reshape(n, self.n_tables, self.hashes_per_table)
+
+    def _csr_components(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """``(n, count)`` shifted minimizers; rows go through in chunks of
+        similar size, each padded to its widest row with the padding
+        element and gathered as one ``(rows, width, count)`` block of at
+        most ``CHUNK_ELEMS`` priorities."""
+        n = indptr.size - 1
         count = self.n_tables * self.hashes_per_table
-        comps = np.empty((n, count), dtype=np.int64)
-        # The universe size dominates all priorities, so argmin of the
-        # masked array is the member with the smallest priority.
-        sentinel = np.int64(self._universe)
-        step = max(1, CHUNK_ELEMS // max(1, count * self._universe))
-        for start in range(0, n, step):
-            block = B[start:start + step]
-            masked = np.where(block[:, None, :], self._priorities[None, :, :], sentinel)
-            chunk = np.argmin(masked, axis=2).astype(np.int64)
-            chunk[~block.any(axis=1), :] = -1  # EMPTY_SET
-            comps[start:start + step] = chunk
-        return (comps + 1).reshape(n, self.n_tables, self.hashes_per_table)
+        comps = np.zeros((n, count), dtype=np.int64)  # EMPTY_SET + 1
+        sizes = np.diff(indptr)
+        order = np.argsort(sizes, kind="stable")
+        order = order[sizes[order] > 0]
+        widths = sizes[order]
+        budget = max(1, CHUNK_ELEMS // count)  # padded cells per chunk
+        hash_ids = np.arange(count)
+        lo = 0
+        while lo < order.size:
+            # Widths ascend, so a chunk's padded size is rows * last width.
+            k = min(budget, order.size - lo)
+            padded = widths[lo:lo + k] * np.arange(1, k + 1)
+            hi = lo + max(1, int(np.searchsorted(padded, budget, side="right")))
+            rows, w = order[lo:hi], widths[lo:hi]
+            cells = np.full((rows.size, int(w[-1])), self._universe, dtype=np.int64)
+            cells[np.arange(cells.shape[1]) < w[:, None]] = indices[
+                multi_arange(indptr[rows], w)
+            ]
+            lowest = self._priority_cols[cells].min(axis=1)
+            comps[rows] = self._inverse[hash_ids, lowest] + 1
+            lo = hi
+        return comps
 
     def _component_row(self, x, side):
         from repro.lsh.minhash import _min_under, _support

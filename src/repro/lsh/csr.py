@@ -47,6 +47,18 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def multi_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` for each pair, vectorized."""
+    lens = np.asarray(lens, dtype=np.int64)
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(lens) - lens), lens
+    )
+
+
 @dataclass(frozen=True)
 class CSRBucketTable:
     """One hash table in CSR layout.  Build with :meth:`from_keys`."""
@@ -114,17 +126,7 @@ class CSRBucketTable:
         starts = np.asarray(starts, dtype=np.int64).ravel()
         ends = np.asarray(ends, dtype=np.int64).ravel()
         lengths = ends - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), lengths
-        # Positions each slice starts at inside the output.
-        out_starts = np.cumsum(lengths) - lengths
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(out_starts, lengths)
-            + np.repeat(starts, lengths)
-        )
-        return self.indices[flat], lengths
+        return self.indices[multi_arange(starts, lengths)], lengths
 
 
 def merge_candidates_per_query(

@@ -94,8 +94,10 @@ Suites (select with ``--suites``):
   seeded, so the numbers are deterministic): minhash recall of the
   exact answers >= ``JACCARD_MINHASH_RECALL_FLOOR`` and exact-verified
   soundness; serial == 2-worker bit-identity; session ``query`` and
-  ``query_stream`` equal to the one-shot join.  Full mode adds the
-  pair-pruning check (minhash evaluates fewer pairs than the scan).
+  ``query_stream`` equal to the one-shot join; MinHash keys hashed from
+  CSR equal the scalar per-row reference on a 64-row sample.  Full mode
+  adds the pair-pruning check (minhash evaluates fewer pairs than the
+  scan) and the ``JACCARD_MINHASH_VS_SCAN_FLOOR`` wall-time floor.
 
 Usage::
 
@@ -127,6 +129,8 @@ from repro.core.brute_force import brute_force_join
 from repro.core.executor import QuerySource, _chunk_bounds
 from repro.core.lsh_join import lsh_filter_verify_chunk
 from repro.core.problems import JoinResult
+from repro.core.set_join import (
+    DEFAULT_MINHASH_HASHES, DEFAULT_MINHASH_TABLES, hash_sets)
 from repro.core.sketch_join import sketch_unsigned_join
 from repro.core.verify import verify_block, verify_candidates
 from repro.datasets import jaccard_pair, planted_jaccard_sets, random_unit
@@ -140,6 +144,7 @@ from repro.engine.planner import default_model
 from repro.quant import quantize_rows, quantized_scan_survivors
 from repro.lsh import BatchSignIndex, CrossPolytopeLSH, E2LSH, HyperplaneLSH, LSHIndex
 from repro.lsh.index import block_candidates
+from repro.lsh.minhash import MinHash
 from repro.obs.metrics import Histogram
 from repro.obs.sink import read_events, sink_files
 from repro.obs.trace import span
@@ -300,6 +305,10 @@ SERVING_OBS_SAMPLED_CEILING = 0.05
 #: queries per size partition, and the workload is seeded, so the
 #: observed recall is deterministic and sits above the floor.
 JACCARD_MINHASH_RECALL_FLOOR = 0.95
+#: Full-mode floor on ``jaccard_minhash_vs_scan``: the MinHash filter
+#: verifies ~93x fewer pairs than the exact scan, so with CSR-native
+#: kernels it must also finish first (measured 3.0-3.6x on 2 cores).
+JACCARD_MINHASH_VS_SCAN_FLOOR = 1.0
 
 
 def _timed(fn: Callable, repeats: int = 1):
@@ -1433,6 +1442,14 @@ def _run_jaccard_suite(quick: bool, timings: dict, speedups: dict,
                             block=block),
         repeats=repeats)
 
+    sample = P[:64]
+    tables = MinHash(universe).sample_batch(
+        np.random.default_rng(seed), DEFAULT_MINHASH_HASHES,
+        DEFAULT_MINHASH_TABLES)
+    keys_match = np.array_equal(
+        hash_sets(tables, sample),
+        tables.hash_rows(sample.to_dense(dtype=np.int64)))
+
     answered = [j for j, m in enumerate(scan.matches) if m is not None]
     hit = sum(1 for j in answered if approx.matches[j] is not None)
     recall = hit / len(answered) if answered else 0.0
@@ -1476,9 +1493,13 @@ def _run_jaccard_suite(quick: bool, timings: dict, speedups: dict,
     checks["jaccard_parallel_identical"] = parallel_identical
     checks["jaccard_session_matches_equal"] = session_identical
     checks["jaccard_stream_bit_identical"] = stream_identical
+    checks["jaccard_minhash_keys_match_reference"] = keys_match
     if not quick:
         checks["jaccard_minhash_prunes_pairs"] = (
             approx.inner_products_evaluated < scan.inner_products_evaluated)
+        checks["jaccard_minhash_beats_scan"] = (
+            speedups["jaccard_minhash_vs_scan"]
+            >= JACCARD_MINHASH_VS_SCAN_FLOOR)
     return cfg
 
 

@@ -22,17 +22,17 @@ substrates they depend on:
 * ``repro.theory`` — Table 1 and the theorem parameter boundaries in
   closed form.
 
-Quickstart::
+Every join is one call to ``repro.engine.join``.  Quickstart::
 
-    import numpy as np
-    from repro import signed_join, unsigned_join
+    from repro import JoinSpec, engine
     from repro.datasets import planted_mips
     from repro.lsh import DataDepALSH
 
-    inst = planted_mips(n=1000, m=32, d=32, s=0.8, c=0.5, seed=0)
-    exact = signed_join(inst.P, inst.Q, s=inst.s)
-    approx = signed_join(inst.P, inst.Q, s=inst.s, c=0.5, algorithm="lsh",
-                         family=DataDepALSH(32), seed=0)
+    inst = planted_mips(n=1000, m=32, d=48, s=0.8, c=0.5, seed=0)
+    exact = engine.join(inst.P, inst.Q, JoinSpec(s=inst.s),
+                        backend="brute_force")
+    approx = engine.join(inst.P, inst.Q, JoinSpec(s=inst.s, c=0.5),
+                         backend="lsh", family=DataDepALSH(48), seed=0)
     print(approx.recall_against(exact))
 """
 
@@ -42,8 +42,6 @@ from repro.core import (
     MIPSResult,
     brute_force_join,
     brute_force_mips,
-    signed_join,
-    unsigned_join,
 )
 from repro import engine
 from repro.errors import (
@@ -63,8 +61,6 @@ __all__ = [
     "JoinSpec",
     "JoinResult",
     "MIPSResult",
-    "signed_join",
-    "unsigned_join",
     "brute_force_join",
     "brute_force_mips",
     "ReproError",

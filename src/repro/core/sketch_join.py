@@ -12,11 +12,9 @@ query block goes through one batched c-MIPS descent
 GEMVs), its proposals are verified exactly through the blocked kernel
 (:mod:`repro.core.verify`), and matches are reported when they clear
 ``c * s``.  Because every stage is block-local, the query set can be
-sharded across processes without changing results; the engine's serial
-path, every parallel worker, and the legacy entry point all run this
-exact function.  :func:`sketch_unsigned_join` is the legacy entry
-point, now a thin shim over :func:`repro.engine.join` with
-``backend="sketch"``.
+sharded across processes without changing results; the engine's
+``sketch`` backend runs this exact function for two-set joins and
+self-joins, serially and in every parallel worker.
 """
 
 from __future__ import annotations
@@ -25,18 +23,18 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.problems import JoinResult, QueryStats
-from repro.core.verify import DEFAULT_BLOCK, verify_candidates
+from repro.core.problems import QueryStats
+from repro.core.verify import verify_candidates
 from repro.errors import ParameterError
 from repro.obs.trace import span
 from repro.sketches.cmips import SketchCMIPS
-from repro.utils.rng import SeedLike
 
 
 def sketch_filter_verify_chunk(
     structure: SketchCMIPS,
     P,
     Q_chunk,
+    start: Optional[int],
     cs: float,
     block: int,
 ) -> Tuple[List[Optional[int]], int, int, QueryStats]:
@@ -44,7 +42,11 @@ def sketch_filter_verify_chunk(
 
     Returns ``(matches, inner_products_evaluated, candidates_generated,
     stats)``.  Queries whose best partner is below ``s`` carry no
-    guarantee, as in Definition 1.
+    guarantee, as in Definition 1.  For a self-join the chunk is
+    ``P[start:start+len(Q_chunk)]`` and each query's identical pair is
+    masked *inside* the recovery descent (``query_batch(...,
+    exclude=...)``), so the descent itself proposes the best *other*
+    vector; ``start=None`` is a two-set join with no mask.
     """
     if block < 1:
         raise ParameterError(f"block must be >= 1, got {block}")
@@ -54,55 +56,11 @@ def sketch_filter_verify_chunk(
     empty = np.empty(0, dtype=np.int64)
     for q0 in range(0, Q_chunk.shape[0], block):
         Q_block = Q_chunk[q0:q0 + block]
-        with span("sketch_propose", n_queries=Q_block.shape[0]):
-            answers = structure.query_batch(Q_block)
-        evaluated += per_query * Q_block.shape[0]
-        proposals = [
-            np.array([idx], dtype=np.int64) if idx >= 0 else empty
-            for idx in answers.indices
-        ]
-        with span("verify"):
-            block_matches, _ = verify_candidates(
-                P, Q_block, proposals, threshold=cs, signed=False, block=block
+        exclude = None
+        if start is not None:
+            exclude = np.arange(
+                start + q0, start + q0 + Q_block.shape[0], dtype=np.int64
             )
-        matches.extend(block_matches)
-    generated = len(matches)
-    stats = QueryStats(
-        queries=len(matches),
-        candidates=generated,
-        unique_candidates=generated,
-    )
-    return matches, evaluated, generated, stats
-
-
-def sketch_self_chunk(
-    structure: SketchCMIPS,
-    P,
-    Q_chunk,
-    start: int,
-    cs: float,
-    block: int,
-) -> Tuple[List[Optional[int]], int, int, QueryStats]:
-    """Sketch self-join over the chunk ``P[start:start+len(Q_chunk)]``.
-
-    The self-join variant of :func:`sketch_filter_verify_chunk`: each
-    query is a row of ``P``, and its identical pair is masked *inside*
-    the recovery descent (``query_batch(..., exclude=...)``) rather than
-    filtered afterwards — the descent itself proposes the best *other*
-    vector, so the single-proposal-per-query shape is preserved.  The
-    tuple shape and the verify path match the two-set chunk.
-    """
-    if block < 1:
-        raise ParameterError(f"block must be >= 1, got {block}")
-    per_query = structure.recovery.query_cost() // max(1, P.shape[1])
-    evaluated = 0
-    matches: List[Optional[int]] = []
-    empty = np.empty(0, dtype=np.int64)
-    for q0 in range(0, Q_chunk.shape[0], block):
-        Q_block = Q_chunk[q0:q0 + block]
-        exclude = np.arange(
-            start + q0, start + q0 + Q_block.shape[0], dtype=np.int64
-        )
         with span("sketch_propose", n_queries=Q_block.shape[0]):
             answers = structure.query_batch(Q_block, exclude=exclude)
         evaluated += per_query * Q_block.shape[0]
@@ -122,35 +80,3 @@ def sketch_self_chunk(
         unique_candidates=generated,
     )
     return matches, evaluated, generated, stats
-
-
-def sketch_unsigned_join(
-    P,
-    Q,
-    s: float,
-    kappa: float = 4.0,
-    copies: int = 7,
-    seed: SeedLike = None,
-    structure: SketchCMIPS = None,
-    block: int = DEFAULT_BLOCK,
-) -> JoinResult:
-    """Unsigned ``(cs, s)`` join with the sketch's own ``c = n^{-1/kappa}``.
-
-    A thin shim over the unified engine (``backend="sketch"``); the
-    returned spec carries the structure's own approximation factor.
-    """
-    from repro.core.problems import JoinSpec
-    from repro.engine.api import join as engine_join
-
-    spec = JoinSpec(s=s, signed=False)
-    return engine_join(
-        P,
-        Q,
-        spec,
-        backend="sketch",
-        seed=seed,
-        block=block,
-        kappa=kappa,
-        copies=copies,
-        structure=structure,
-    )

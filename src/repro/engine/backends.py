@@ -309,8 +309,8 @@ class LSHBackend(JoinBackend):
             raise ParameterError(
                 "multiprobe (n_probes) is only supported for threshold joins"
             )
-        # Precedence mirrors the legacy entry points: a prebuilt index
-        # wins, then a rebuildable recipe, then a family to index with.
+        # Precedence: a prebuilt index wins, then a rebuildable recipe,
+        # then a family to index with.
         common = dict(spec=spec, n_probes=n_probes, block=block)
         if index is not None:
             return LSHStructure(index=index, **common), spec
@@ -467,21 +467,13 @@ class SketchBackend(JoinBackend):
         return payload, final
 
     def run_chunk(self, structure, P, Q_chunk, start):
-        from repro.core.sketch_join import (
-            sketch_filter_verify_chunk,
-            sketch_self_chunk,
-        )
+        from repro.core.sketch_join import sketch_filter_verify_chunk
 
         spec = structure.spec
-        if spec.is_self:
-            matches, evaluated, generated, stats = sketch_self_chunk(
-                structure.structure, P, Q_chunk, start, spec.cs,
-                structure.block,
-            )
-        else:
-            matches, evaluated, generated, stats = sketch_filter_verify_chunk(
-                structure.structure, P, Q_chunk, spec.cs, structure.block
-            )
+        matches, evaluated, generated, stats = sketch_filter_verify_chunk(
+            structure.structure, P, Q_chunk,
+            start if spec.is_self else None, spec.cs, structure.block,
+        )
         return ChunkResult(matches, evaluated, generated, stats)
 
     def estimate_cost(self, n, m, d, spec, model):

@@ -381,6 +381,75 @@ def _binary_rows(X) -> np.ndarray:
     return arr != 0
 
 
+def _dense_to_csr(B: np.ndarray):
+    """``(indptr, indices)`` of the rows of a boolean matrix."""
+    rows, cols = np.nonzero(B)
+    indptr = np.zeros(B.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=B.shape[0]), out=indptr[1:])
+    return indptr, cols.astype(np.int64)
+
+
+def _element_major(priorities: np.ndarray, universe: int):
+    """Gather tables for :func:`_csr_min` from permutation priority rows.
+
+    ``priorities`` is ``(count, size)`` with every row a permutation of
+    ``range(size)``; the first ``universe`` columns are the real
+    elements.  Returns ``cols``, the real priorities element-major in
+    the narrowest dtype holding the pad value ``size`` (row ``universe``,
+    which outranks every real priority), and ``inverse``, the
+    ``(count, size + 1)`` element owning each priority value, ``-1`` for
+    the pad.
+    """
+    count, size = priorities.shape
+    inverse = np.full((count, size + 1), -1, dtype=np.int64)
+    if priorities.size and 0 <= priorities.min() and priorities.max() < size:
+        np.put_along_axis(
+            inverse, priorities,
+            np.broadcast_to(np.arange(size), priorities.shape), axis=1,
+        )
+    if (inverse[:, :size] < 0).any():
+        raise ValidationError(
+            f"each priority row must be a permutation of range({size})"
+        )
+    cols = np.empty((universe + 1, count), dtype=np.min_scalar_type(size))
+    cols[:universe] = priorities[:, :universe].T
+    cols[universe] = size
+    return cols, inverse
+
+
+def _csr_min(indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``(n, count)`` smallest ``cols[member]`` over each CSR row's members.
+
+    Empty rows read the pad row ``cols[-1]``.  Rows go through in chunks
+    of similar size, each padded to its widest row with the pad element
+    and gathered as one ``(rows, width, count)`` block of at most
+    ``CHUNK_ELEMS`` priorities.
+    """
+    n = indptr.size - 1
+    pad = cols.shape[0] - 1
+    lowest = np.empty((n, cols.shape[1]), dtype=cols.dtype)
+    lowest[:] = cols[pad]
+    sizes = np.diff(indptr)
+    order = np.argsort(sizes, kind="stable")
+    order = order[sizes[order] > 0]
+    widths = sizes[order]
+    budget = max(1, CHUNK_ELEMS // cols.shape[1])  # padded cells per chunk
+    lo = 0
+    while lo < order.size:
+        # Widths ascend, so a chunk's padded size is rows * last width.
+        k = min(budget, order.size - lo)
+        padded = widths[lo:lo + k] * np.arange(1, k + 1)
+        hi = lo + max(1, int(np.searchsorted(padded, budget, side="right")))
+        rows, w = order[lo:hi], widths[lo:hi]
+        cells = np.full((rows.size, int(w[-1])), pad, dtype=np.int64)
+        cells[np.arange(cells.shape[1]) < w[:, None]] = indices[
+            multi_arange(indptr[rows], w)
+        ]
+        lowest[rows] = cols[cells].min(axis=1)
+        lo = hi
+    return lowest
+
+
 class MinHashTables(ComponentHashTables):
     """Minwise components: one ``min`` over each set's member priorities.
 
@@ -401,25 +470,9 @@ class MinHashTables(ComponentHashTables):
             )
         universe = priorities.shape[1]
         super().__init__(n_tables, hashes_per_table, radices=universe + 1)
-        inverse = np.full(priorities.shape, -1, dtype=np.int64)
-        if priorities.size and 0 <= priorities.min() and priorities.max() < universe:
-            np.put_along_axis(
-                inverse, priorities,
-                np.broadcast_to(np.arange(universe), priorities.shape), axis=1,
-            )
-        if (inverse < 0).any():
-            raise ValidationError(
-                "each priority row must be a permutation of range(universe)"
-            )
         self._priorities = priorities
         self._universe = universe
-        self._inverse = inverse
-        # Element-major priorities in the narrowest dtype holding the
-        # padding row ``universe``, which outranks every real priority.
-        cols = np.empty((universe + 1, count), dtype=np.min_scalar_type(universe))
-        cols[:universe] = priorities.T
-        cols[universe] = universe
-        self._priority_cols = cols
+        self._cols, self._inverse = _element_major(priorities, universe)
 
     def _as_rows(self, X):
         return _binary_rows(X)
@@ -449,41 +502,14 @@ class MinHashTables(ComponentHashTables):
     def _components(self, X, side):
         B = _binary_rows(X)
         self._check_universe(B.shape[1])
-        n = B.shape[0]
-        rows, cols = np.nonzero(B)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        comps = self._csr_components(indptr, cols.astype(np.int64))
-        return comps.reshape(n, self.n_tables, self.hashes_per_table)
+        comps = self._csr_components(*_dense_to_csr(B))
+        return comps.reshape(B.shape[0], self.n_tables, self.hashes_per_table)
 
     def _csr_components(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """``(n, count)`` shifted minimizers; rows go through in chunks of
-        similar size, each padded to its widest row with the padding
-        element and gathered as one ``(rows, width, count)`` block of at
-        most ``CHUNK_ELEMS`` priorities."""
-        n = indptr.size - 1
-        count = self.n_tables * self.hashes_per_table
-        comps = np.zeros((n, count), dtype=np.int64)  # EMPTY_SET + 1
-        sizes = np.diff(indptr)
-        order = np.argsort(sizes, kind="stable")
-        order = order[sizes[order] > 0]
-        widths = sizes[order]
-        budget = max(1, CHUNK_ELEMS // count)  # padded cells per chunk
-        hash_ids = np.arange(count)
-        lo = 0
-        while lo < order.size:
-            # Widths ascend, so a chunk's padded size is rows * last width.
-            k = min(budget, order.size - lo)
-            padded = widths[lo:lo + k] * np.arange(1, k + 1)
-            hi = lo + max(1, int(np.searchsorted(padded, budget, side="right")))
-            rows, w = order[lo:hi], widths[lo:hi]
-            cells = np.full((rows.size, int(w[-1])), self._universe, dtype=np.int64)
-            cells[np.arange(cells.shape[1]) < w[:, None]] = indices[
-                multi_arange(indptr[rows], w)
-            ]
-            lowest = self._priority_cols[cells].min(axis=1)
-            comps[rows] = self._inverse[hash_ids, lowest] + 1
-            lo = hi
+        """``(n, count)`` shifted minimizers (``0`` for empty sets)."""
+        lowest = _csr_min(indptr, indices, self._cols)
+        comps = self._inverse[np.arange(lowest.shape[1]), lowest]
+        comps += 1
         return comps
 
     def _component_row(self, x, side):
@@ -503,7 +529,10 @@ class AsymmetricMinHashTables(ComponentHashTables):
     against the precomputed prefix minimum of the first ``M - w`` dummy
     priorities; queries hash unpadded.  Values are global element indices
     (dummies at ``universe + j``) shifted by one, radix
-    ``universe + max_norm + 1``.
+    ``universe + max_norm + 1``.  The real support minimum is the same
+    CSR kernel as :class:`MinHashTables` (:func:`_csr_min`), over each
+    priority row's real columns of its ``universe + max_norm``
+    permutation.
     """
 
     def __init__(
@@ -525,6 +554,7 @@ class AsymmetricMinHashTables(ComponentHashTables):
         self._priorities = priorities
         self._universe = int(universe)
         self._max_norm = int(max_norm)
+        self._cols, self._inverse = _element_major(priorities, universe)
         # Prefix minima over the dummy block: entry j is the min (and its
         # in-block argmin) of the first j+1 dummy priorities, so padding a
         # weight-w vector is an O(1) lookup at j = (M - w) - 1.
@@ -545,41 +575,28 @@ class AsymmetricMinHashTables(ComponentHashTables):
                 f"X must have {self._universe} columns, got {B.shape[1]}"
             )
         n = B.shape[0]
-        count = self.n_tables * self.hashes_per_table
-        real = self._priorities[:, : self._universe]
-        sentinel = np.int64(self._universe + self._max_norm)  # > every priority
-        comps = np.empty((n, count), dtype=np.int64)
-        step = max(1, CHUNK_ELEMS // max(1, count * self._universe))
-        if side == "query":
-            for start in range(0, n, step):
-                block = B[start:start + step]
-                masked = np.where(block[:, None, :], real[None, :, :], sentinel)
-                chunk = np.argmin(masked, axis=2).astype(np.int64)
-                chunk[~block.any(axis=1), :] = -1  # EMPTY_SET
-                comps[start:start + step] = chunk
-            return (comps + 1).reshape(n, self.n_tables, self.hashes_per_table)
-
-        weights = B.sum(axis=1)
-        if (weights > self._max_norm).any():
+        indptr, indices = _dense_to_csr(B)
+        weights = np.diff(indptr)
+        if side == "data" and (weights > self._max_norm).any():
             worst = int(weights[np.argmax(weights > self._max_norm)])
             raise DomainError(
                 f"data vector weight {worst} exceeds max_norm {self._max_norm}"
             )
-        for start in range(0, n, step):
-            block = B[start:start + step]
-            masked = np.where(block[:, None, :], real[None, :, :], sentinel)
-            real_arg = np.argmin(masked, axis=2).astype(np.int64)
-            real_min = np.min(masked, axis=2)
-            dummy_count = self._max_norm - weights[start:start + step]
-            last = np.maximum(dummy_count - 1, 0)
-            dummy_min = self._dummy_min[:, last].T
-            dummy_arg = self._universe + self._dummy_argmin[:, last].T
-            # Weight-M vectors get no dummies; priorities are distinct so
-            # the real/dummy comparison never ties.
-            dummy_min = np.where(dummy_count[:, None] > 0, dummy_min, sentinel)
-            comps[start:start + step] = np.where(
-                real_min < dummy_min, real_arg, dummy_arg
-            )
+        # Real-support minimum; empty sets read the sentinel pad, whose
+        # element is -1 (EMPTY_SET).
+        real_min = _csr_min(indptr, indices, self._cols)
+        real_arg = self._inverse[np.arange(real_min.shape[1]), real_min]
+        if side == "query":
+            return (real_arg + 1).reshape(n, self.n_tables, self.hashes_per_table)
+        sentinel = self._universe + self._max_norm  # > every priority
+        dummy_count = self._max_norm - weights
+        last = np.maximum(dummy_count - 1, 0)
+        dummy_min = self._dummy_min[:, last].T
+        dummy_arg = self._universe + self._dummy_argmin[:, last].T
+        # Weight-M vectors get no dummies; priorities are distinct so
+        # the real/dummy comparison never ties.
+        dummy_min = np.where(dummy_count[:, None] > 0, dummy_min, sentinel)
+        comps = np.where(real_min < dummy_min, real_arg, dummy_arg)
         return (comps + 1).reshape(n, self.n_tables, self.hashes_per_table)
 
     def _component_row(self, x, side):

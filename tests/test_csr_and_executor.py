@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.core import (
-    JoinSpec,
-    lsh_join,
-    lsh_self_join,
-    verify_block,
-    verify_candidates,
-)
+from repro.core import JoinSpec, verify_block, verify_candidates
+from repro.core.lsh_join import lsh_filter_verify_chunk
 from repro.engine import BatchIndexSpec
 from repro.datasets import planted_mips, random_unit
 from repro.errors import ParameterError
@@ -146,8 +141,8 @@ class TestQueryStats:
         QueryStats-pollution regression)."""
         _, idx = _pair(instance)
         spec = JoinSpec(s=instance.s, c=0.4)
-        first = lsh_join(instance.P, instance.Q, spec, family=None, index=idx)
-        second = lsh_join(instance.P, instance.Q, spec, family=None, index=idx)
+        first = engine.join(instance.P, instance.Q, spec, backend="lsh", index=idx)
+        second = engine.join(instance.P, instance.Q, spec, backend="lsh", index=idx)
         assert first.matches == second.matches
         assert first.candidates_generated == second.candidates_generated
         assert first.inner_products_evaluated == second.inner_products_evaluated
@@ -230,10 +225,12 @@ class TestExecutor:
     def test_serial_equals_lsh_join(self, workload):
         P, Q, spec, index_spec = workload
         serial = self._join(workload, n_workers=1)
-        via_join = lsh_join(P, Q, spec, family=None, index=index_spec.build(P))
-        assert serial.matches == via_join.matches
-        assert serial.inner_products_evaluated == via_join.inner_products_evaluated
-        assert serial.candidates_generated == via_join.candidates_generated
+        matches, evaluated, generated, _ = lsh_filter_verify_chunk(
+            index_spec.build(P), P, Q, spec.signed, spec.cs, 0, 256
+        )
+        assert serial.matches == matches
+        assert serial.inner_products_evaluated == evaluated
+        assert serial.candidates_generated == generated
 
     def test_four_workers_identical_to_serial(self, workload):
         serial = self._join(workload, n_workers=1)
@@ -280,7 +277,10 @@ class TestSelfJoinBlockedPath:
         idx = BatchSignIndex.for_symmetric(
             16, n_tables=12, bits_per_table=6, seed=4
         ).build(P)
-        blocked = lsh_self_join(P, spec, idx, block=64)
+        blocked = engine.join(
+            P, None, JoinSpec(s=0.7, c=0.7, self_join=True),
+            backend="lsh", index=idx, block=64,
+        )
         # Per-query reference: candidates + verify one row at a time.
         for qi in [0, 17, 399]:
             cands = idx.candidates(P[qi])

@@ -1,8 +1,10 @@
 """The unified join engine: backends, planner, dispatch, and stats.
 
 Two contracts are enforced here.  *Equivalence*: ``repro.engine.join``
-with an explicit backend is bit-identical to the legacy entry point for
-every variant (signed/unsigned threshold, top-k, self), and
+with an explicit backend is bit-identical to its bare chunk kernel run
+serially over all of ``Q`` (matches, top-k lists, work counters and
+:class:`QueryStats`) for every variant (signed/unsigned threshold,
+top-k, self), and the exact backends reproduce ``brute_force_join``;
 ``backend="auto"`` returns a valid exact answer matching brute force on
 small inputs (where the planner's fixed build charges always select an
 exact backend).  *Stats*: :class:`QueryStats` merging is a single
@@ -14,20 +16,12 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.core import (
-    JoinSpec,
-    QueryStats,
-    brute_force_join,
-    join_topk,
-    lsh_join,
-    lsh_join_topk,
-    lsh_self_join,
-    norm_pruned_join,
-    self_join,
-    signed_join,
-    sketch_unsigned_join,
-    unsigned_join,
-)
+from repro.core import JoinSpec, NormScanIndex, QueryStats, brute_force_join
+from repro.core.lsh_join import lsh_filter_verify_chunk
+from repro.core.norm_pruning import norm_scan_chunk, norm_scan_topk_chunk
+from repro.core.self_join import lsh_self_chunk, self_scan_chunk
+from repro.core.sketch_join import sketch_filter_verify_chunk
+from repro.core.topk import lsh_topk_chunk, topk_chunk
 from repro.datasets import planted_mips
 from repro.engine import (
     BatchIndexSpec,
@@ -40,6 +34,20 @@ from repro.engine import (
 )
 from repro.errors import ParameterError
 from repro.lsh import BatchSignIndex, DataDepALSH, LSHIndex
+from repro.sketches.cmips import SketchCMIPS
+
+
+def assert_kernel_equal(result, kernel_out, topk=False):
+    """``result`` is bit-identical to one serial kernel call's output."""
+    answers, evaluated, generated, stats = kernel_out
+    if topk:
+        assert result.topk == answers
+        assert result.matches == [lst[0] if lst else None for lst in answers]
+    else:
+        assert result.matches == answers
+    assert result.inner_products_evaluated == evaluated
+    assert result.candidates_generated == generated
+    assert result.stats == stats
 
 
 @pytest.fixture(scope="module")
@@ -53,29 +61,42 @@ def spec():
 
 
 class TestBackendEquivalence:
-    """engine.join(backend=...) == the legacy entry point, bit for bit."""
+    """engine.join(backend=...) == the bare chunk kernel, bit for bit."""
 
     def test_brute_force_signed(self, instance, spec):
-        legacy = brute_force_join(instance.P, instance.Q, spec)
+        reference = brute_force_join(instance.P, instance.Q, spec)
         result = engine.join(instance.P, instance.Q, spec, backend="brute_force")
-        assert result.matches == legacy.matches
-        assert result.inner_products_evaluated == legacy.inner_products_evaluated
-        assert result.candidates_generated == legacy.candidates_generated
+        assert result.matches == reference.matches
+        assert result.inner_products_evaluated == reference.inner_products_evaluated
+        assert result.candidates_generated == reference.candidates_generated
         assert result.backend == "brute_force"
+        assert result.stats is not None and result.stats.queries == 24
 
     def test_brute_force_unsigned(self, instance):
         uspec = JoinSpec(s=0.85, c=0.5, signed=False)
-        legacy = brute_force_join(instance.P, instance.Q, uspec)
+        reference = brute_force_join(instance.P, instance.Q, uspec)
         result = engine.join(instance.P, instance.Q, uspec, backend="brute_force")
-        assert result.matches == legacy.matches
+        assert result.matches == reference.matches
+        assert result.backend == "brute_force"
 
     def test_norm_pruned(self, instance, spec):
-        legacy = norm_pruned_join(instance.P, instance.Q, spec)
+        kernel = norm_scan_chunk(
+            NormScanIndex(instance.P), instance.Q, spec.signed, spec.cs, 256, 256
+        )
         result = engine.join(instance.P, instance.Q, spec, backend="norm_pruned")
-        assert result.matches == legacy.matches
-        assert result.inner_products_evaluated == legacy.inner_products_evaluated
+        assert_kernel_equal(result, kernel)
         # Norm pruning is exact: it must reproduce brute force too.
         assert result.matches == brute_force_join(instance.P, instance.Q, spec).matches
+
+    def test_norm_pruned_topk(self, instance):
+        tspec = JoinSpec(s=0.3, c=0.9, signed=True, k=4)
+        kernel = norm_scan_topk_chunk(
+            NormScanIndex(instance.P), instance.Q, True, tspec.cs, 4, 64, 256
+        )
+        result = engine.join(
+            instance.P, instance.Q, tspec, backend="norm_pruned", scan_block=64
+        )
+        assert_kernel_equal(result, kernel, topk=True)
 
     @pytest.mark.parametrize("signed", [True, False])
     def test_lsh_prebuilt_index(self, instance, signed):
@@ -83,33 +104,34 @@ class TestBackendEquivalence:
         index = BatchSignIndex.for_datadep(
             32, n_tables=10, bits_per_table=8, seed=3
         ).build(instance.P)
-        legacy = lsh_join(instance.P, instance.Q, jspec, family=None, index=index)
+        kernel = lsh_filter_verify_chunk(
+            index, instance.P, instance.Q, signed, jspec.cs, 0, 256
+        )
         result = engine.join(
             instance.P, instance.Q, jspec, backend="lsh", index=index
         )
-        assert result.matches == legacy.matches
-        assert result.candidates_generated == legacy.candidates_generated
+        assert_kernel_equal(result, kernel)
 
     def test_lsh_family_seeded(self, instance, spec):
         family = DataDepALSH(32)
-        legacy = lsh_join(
-            instance.P, instance.Q, spec, family,
-            n_tables=10, hashes_per_table=5, seed=11,
+        index = LSHIndex(
+            family, n_tables=10, hashes_per_table=5, seed=11
+        ).build(instance.P)
+        kernel = lsh_filter_verify_chunk(
+            index, instance.P, instance.Q, spec.signed, spec.cs, 0, 256
         )
         result = engine.join(
             instance.P, instance.Q, spec, backend="lsh", family=family,
             n_tables=10, hashes_per_table=5, seed=11,
         )
-        assert result.matches == legacy.matches
+        assert_kernel_equal(result, kernel)
 
     def test_lsh_matches_direct_index_construction(self, instance, spec):
-        """Same seed ⇒ the engine builds the same LSHIndex the legacy path did."""
+        """Same seed ⇒ the engine builds the same LSHIndex as a direct build."""
         family = DataDepALSH(32)
         index = LSHIndex(
             family, n_tables=10, hashes_per_table=5, seed=11
         ).build(instance.P)
-        from repro.core.lsh_join import lsh_filter_verify_chunk
-
         matches, _, _, _ = lsh_filter_verify_chunk(
             index, instance.P, instance.Q, spec.signed, spec.cs, 0, 1024
         )
@@ -120,72 +142,76 @@ class TestBackendEquivalence:
         assert result.matches == matches
 
     def test_sketch(self, instance):
-        legacy = sketch_unsigned_join(
-            instance.P, instance.Q, s=0.85, kappa=3.0, copies=5, seed=5
-        )
+        structure = SketchCMIPS(instance.P, kappa=3.0, copies=5, seed=5)
         result = engine.join(
             instance.P, instance.Q, JoinSpec(s=0.85, signed=False),
             backend="sketch", kappa=3.0, copies=5, seed=5,
         )
-        assert result.matches == legacy.matches
-        assert result.spec.c == legacy.spec.c  # the structure's n^{-1/kappa}
+        # The result spec carries the structure's own n^{-1/kappa}.
+        assert result.spec.c == structure.approximation_factor
+        kernel = sketch_filter_verify_chunk(
+            structure, instance.P, instance.Q, None, result.spec.cs, 256
+        )
+        assert_kernel_equal(result, kernel)
+
+    def test_sketch_self(self, instance):
+        structure = SketchCMIPS(instance.P, kappa=3.0, copies=5, seed=5)
+        result = engine.join(
+            instance.P, None, JoinSpec(s=0.85, signed=False),
+            backend="sketch", structure=structure, block=64,
+        )
+        kernel = sketch_filter_verify_chunk(
+            structure, instance.P, instance.P, 0, result.spec.cs, 64
+        )
+        assert_kernel_equal(result, kernel)
 
     def test_topk_exact(self, instance):
-        tspec = JoinSpec(s=0.3, c=0.9, signed=True)
-        legacy = join_topk(instance.P, instance.Q, tspec, k=4)
+        tspec = JoinSpec(s=0.3, c=0.9, signed=True, k=4)
+        kernel = topk_chunk(instance.P, instance.Q, True, tspec.cs, 4, 1024)
         result = engine.join(
-            instance.P, instance.Q,
-            JoinSpec(s=0.3, c=0.9, signed=True, k=4),
-            backend="brute_force", block=1024,
+            instance.P, instance.Q, tspec, backend="brute_force", block=1024,
         )
-        assert result.topk == legacy
-        assert result.matches == [lst[0] if lst else None for lst in legacy]
+        assert_kernel_equal(result, kernel, topk=True)
 
     def test_topk_lsh(self, instance):
-        tspec = JoinSpec(s=0.3, c=0.9, signed=True)
+        tspec = JoinSpec(s=0.3, c=0.9, signed=True, k=4)
         index = BatchSignIndex.for_datadep(
             32, n_tables=10, bits_per_table=8, seed=3
         ).build(instance.P)
-        legacy = lsh_join_topk(instance.P, instance.Q, tspec, k=4, index=index)
-        result = engine.join(
-            instance.P, instance.Q,
-            JoinSpec(s=0.3, c=0.9, signed=True, k=4),
-            backend="lsh", index=index,
+        kernel = lsh_topk_chunk(
+            index, instance.P, instance.Q, True, tspec.cs, 4, 256
         )
-        assert result.topk == legacy
+        result = engine.join(
+            instance.P, instance.Q, tspec, backend="lsh", index=index,
+        )
+        assert_kernel_equal(result, kernel, topk=True)
 
     @pytest.mark.parametrize("match_duplicates", [True, False])
     def test_self_exact(self, instance, spec, match_duplicates):
-        legacy = self_join(instance.P, spec, match_duplicates=match_duplicates)
+        kernel = self_scan_chunk(
+            instance.P, instance.P, 0, spec.signed, spec.cs,
+            match_duplicates, 512,
+        )
         result = engine.join(
             instance.P, None,
             JoinSpec(s=0.85, c=0.5, self_join=True,
                      match_duplicates=match_duplicates),
             backend="brute_force", block=512,
         )
-        assert result.matches == legacy.matches
-        assert result.inner_products_evaluated == legacy.inner_products_evaluated
-        assert result.candidates_generated == legacy.candidates_generated
+        assert_kernel_equal(result, kernel)
 
     def test_self_lsh(self, instance, spec):
         index = BatchSignIndex.for_hyperplane(
             32, n_tables=10, bits_per_table=8, seed=3
         ).build(instance.P)
-        legacy = lsh_self_join(instance.P, spec, index, block=256)
+        kernel = lsh_self_chunk(
+            index, instance.P, instance.P, 0, spec.signed, spec.cs, True, 256
+        )
         result = engine.join(
             instance.P, None, JoinSpec(s=0.85, c=0.5, self_join=True),
             backend="lsh", index=index, block=256,
         )
-        assert result.matches == legacy.matches
-
-    def test_signed_join_shim_routes_through_engine(self, instance):
-        result = signed_join(instance.P, instance.Q, s=0.85)
-        assert result.backend == "brute_force"
-        assert result.stats is not None and result.stats.queries == 24
-
-    def test_unsigned_join_shim_routes_through_engine(self, instance):
-        result = unsigned_join(instance.P, instance.Q, s=0.85)
-        assert result.backend == "brute_force"
+        assert_kernel_equal(result, kernel)
 
 
 class TestAutoDispatch:
@@ -210,11 +236,11 @@ class TestAutoDispatch:
     def test_auto_self_join_small(self):
         rng = np.random.default_rng(3)
         P = rng.standard_normal((120, 12))
-        reference = self_join(P, JoinSpec(s=0.5, c=0.8))
+        reference = self_scan_chunk(P, P, 0, True, 0.4, True, 256)[0]
         result = engine.join(
             P, None, JoinSpec(s=0.5, c=0.8, self_join=True), backend="auto"
         )
-        assert result.matches == reference.matches
+        assert result.matches == reference
 
     def test_auto_result_is_valid(self, instance, spec):
         """Every reported match really clears cs (Definition 1)."""

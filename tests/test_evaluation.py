@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.core import JoinSpec, brute_force_join, norm_pruned_join
+from repro import engine
+from repro.core import JoinSpec, brute_force_join
 from repro.datasets import planted_mips
 from repro.errors import ParameterError
 from repro.evaluation import EvaluationRecord, evaluate_joins, evaluation_table
@@ -19,7 +20,9 @@ class TestEvaluateJoins:
             instance.P, instance.Q, spec,
             {
                 "brute force": brute_force_join,
-                "norm pruned": norm_pruned_join,
+                "norm pruned": lambda P, Q, spec_: engine.join(
+                    P, Q, spec_, backend="norm_pruned"
+                ),
             },
         )
         for record in records:

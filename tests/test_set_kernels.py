@@ -3,6 +3,8 @@
 * MinHash keys hashed straight from CSR equal the scalar per-row
   reference (``MinHashTables.hash_rows``) and the dense ``hash_matrix``,
   on awkward collections and with chunk boundaries inside the data;
+  the asymmetric (MH-ALSH) hasher, which shares the CSR kernel, matches
+  its own ``hash_rows`` on both sides;
 * ``set_scan`` and ``minhash_lsh`` give the answers, work counters and
   ``QueryStats`` of straightforward per-query loops (kept below as the
   test-only reference) for every variant, block size and pool kind;
@@ -21,7 +23,7 @@ from repro.core.set_join import MinHashSetIndex, SetPostings, hash_sets
 from repro.datasets import SetCollection, planted_jaccard_sets
 from repro.errors import ValidationError
 from repro.lsh import batch_hash
-from repro.lsh.minhash import MinHash
+from repro.lsh.minhash import AsymmetricMinHash, MinHash
 
 
 def random_sets(rng, n, universe, max_size):
@@ -83,6 +85,41 @@ def test_empty_set_hashes_to_the_sentinel_component():
 def test_non_permutation_priorities_rejected():
     with pytest.raises(ValidationError, match="permutation"):
         batch_hash.MinHashTables(np.zeros((2, 4), dtype=np.int64), 2, 1)
+
+
+def asymmetric_rows(rng, universe, max_norm, side):
+    """Binary rows with an empty row, weight-``M`` rows and (query side
+    only) a full-universe row, around random rows of legal weight."""
+    cap = max_norm if side == "data" else universe
+    weights = [0, max_norm, max_norm] + list(rng.integers(0, cap + 1, size=20))
+    if side == "query":
+        weights.append(universe)
+    X = np.zeros((len(weights), universe), dtype=np.int64)
+    for row, w in zip(X, weights):
+        row[rng.choice(universe, size=w, replace=False)] = 1
+    return X
+
+
+@pytest.mark.parametrize("universe,max_norm", [(24, 6), (10, 10), (1, 1)])
+@pytest.mark.parametrize("side", ["data", "query"])
+@pytest.mark.parametrize("budget", [None, 1, 7])
+def test_asymmetric_keys_equal_scalar_reference(
+    monkeypatch, universe, max_norm, side, budget
+):
+    rng = np.random.default_rng(universe + max_norm)
+    tables = AsymmetricMinHash(universe, max_norm).sample_batch(
+        np.random.default_rng(2), 3, 4)
+    X = asymmetric_rows(rng, universe, max_norm, side)
+    expected = tables.hash_rows(X, side=side)
+    if budget is not None:
+        monkeypatch.setattr(batch_hash, "CHUNK_ELEMS", budget)
+    np.testing.assert_array_equal(tables.hash_matrix(X, side=side), expected)
+
+
+def test_asymmetric_non_permutation_priorities_rejected():
+    with pytest.raises(ValidationError, match="permutation"):
+        batch_hash.AsymmetricMinHashTables(
+            np.zeros((2, 6), dtype=np.int64), 4, 2, 2, 1)
 
 
 def test_universe_mismatch_rejected():

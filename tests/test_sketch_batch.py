@@ -12,7 +12,6 @@ import pytest
 
 from repro import engine
 from repro.core.problems import JoinSpec
-from repro.core.sketch_join import sketch_unsigned_join
 from repro.core.verify import verify_candidates
 from repro.errors import ParameterError
 from repro.mips.sketch_engine import SketchMIPS
@@ -111,7 +110,10 @@ def test_cmips_query_batch_matches_looped_query(data):
 
 def test_sketch_join_blocked_equals_per_query_reference(data):
     A, Q = data
-    result = sketch_unsigned_join(A, Q, s=2.0, kappa=4.0, copies=5, seed=29, block=32)
+    result = engine.join(
+        A, Q, JoinSpec(s=2.0, signed=False), backend="sketch",
+        kappa=4.0, copies=5, seed=29, block=32,
+    )
     structure = SketchCMIPS(A, kappa=4.0, copies=5, seed=29)
     per_query = structure.recovery.query_cost() // max(1, A.shape[1])
     proposals = []
@@ -145,7 +147,10 @@ def test_sketch_mips_query_batch(data):
 def test_engine_sketch_join_worker_invariance(data, pool):
     A, Q = data
     structure = SketchCMIPS(A, kappa=4.0, copies=5, seed=37)
-    serial = sketch_unsigned_join(A, Q, s=2.0, structure=structure, block=32)
+    serial = engine.join(
+        A, Q, JoinSpec(s=2.0, signed=False), backend="sketch",
+        structure=structure, block=32,
+    )
     spec = JoinSpec(s=2.0, c=0.5, signed=False)
     one, multi = (
         engine.join(

@@ -22,9 +22,9 @@ Suites (select with ``--suites``):
   sets asserted.  Exits non-zero if a family that should hash natively
   silently fell back to the generic per-row loop.
 * ``sketch_batch_vs_loop``: the Section 4.3 sketch join — blocked
-  ``sketch_unsigned_join`` (batched c-MIPS descents) vs the per-query
-  ``SketchCMIPS.query`` loop on a shared structure, identical matches
-  asserted.
+  ``engine.join(..., backend="sketch")`` (batched c-MIPS descents) vs
+  the per-query ``SketchCMIPS.query`` loop on a shared structure,
+  identical matches asserted.
 * ``planner_dispatch``: the unified engine — the cost-model planner's
   backend picks across a small (n, d, spec) grid (sanity-checked:
   small/exact instances pick exact backends, large gapped instances
@@ -131,7 +131,6 @@ from repro.core.lsh_join import lsh_filter_verify_chunk
 from repro.core.problems import JoinResult
 from repro.core.set_join import (
     DEFAULT_MINHASH_HASHES, DEFAULT_MINHASH_TABLES, hash_sets)
-from repro.core.sketch_join import sketch_unsigned_join
 from repro.core.verify import verify_block, verify_candidates
 from repro.datasets import jaccard_pair, planted_jaccard_sets, random_unit
 from repro.engine import BatchIndexSpec, ChunkResult
@@ -513,8 +512,9 @@ def _run_sketch_suite(quick: bool, timings: dict, speedups: dict,
     loop_s, loop_result = _timed(
         lambda: _sketch_loop_join(P, Q, s, structure, block))
     blocked_s, blocked_result = _timed(
-        lambda: sketch_unsigned_join(P, Q, s=s, structure=structure,
-                                     block=block), repeats=2)
+        lambda: engine_join(P, Q, JoinSpec(s=s, signed=False),
+                            backend="sketch", structure=structure,
+                            block=block), repeats=2)
     print("[bench_perf] sketch: query_batch vs query loop ...", flush=True)
     query_loop_s, loop_answers = _timed(
         lambda: [structure.query(q) for q in Q])

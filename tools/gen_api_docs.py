@@ -4,7 +4,10 @@ Walks every ``repro`` subpackage, collects the symbols each ``__init__``
 exports (or, for leaf modules, their public classes/functions), and dumps
 signatures plus first-paragraph docstrings into a single reference file.
 
-Run:  python tools/gen_api_docs.py
+Callable defaults render by qualified name, so the output is the same
+on every run.
+
+Run:  PYTHONPATH=src python tools/gen_api_docs.py
 """
 
 from __future__ import annotations
@@ -27,11 +30,34 @@ def first_paragraph(doc: str) -> str:
     return " ".join(line.strip() for line in paragraph.splitlines())
 
 
+class _Named:
+    """A default rendered by name: ``repr`` would print a memory address."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+def _render_default(value):
+    if callable(value):
+        module = getattr(value, "__module__", None)
+        qualname = getattr(value, "__qualname__", type(value).__qualname__)
+        return _Named(f"{module}.{qualname}" if module else qualname)
+    return value
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(...)"
+    params = [
+        p if p.default is p.empty else p.replace(default=_render_default(p.default))
+        for p in sig.parameters.values()
+    ]
+    return str(sig.replace(parameters=params))
 
 
 def public_members(module):
